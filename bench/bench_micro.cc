@@ -30,25 +30,32 @@
  *    the full synthetic path: generating a 1024-rank ML-training
  *    trace from src/gen/, lowering it, and replaying it on the
  *    tapered fat tree with recursive-doubling allreduces — the
- *    scale no recorded trace reaches).
+ *    scale no recorded trace reaches),
+ *  - M10: variant replay throughput (events per second replaying
+ *    the real-pattern 16-chunk overlap variant of sweep3d-x8 on the
+ *    flat bus — the replays that make up nearly all of an R1 sweep,
+ *    and the ones whose wait queue is deep).
  *
  * Besides the google-benchmark suite, `--json[=PATH]` runs the M1
  * replay-engine configurations standalone plus the M2 compile, M3
  * transform, M4 sweep, M5 topology, M6 collective, M7 scenario,
- * M8 resilience and M9 generator configurations, and appends the
+ * M8 resilience, M9 generator and M10 variant configurations, and
+ * appends the
  * largest M1 figure (events/sec, ns/event, peak RSS), the M2
  * figure (records/sec), the M3 figure (transform records/sec),
  * the M4 figure (sweep points/sec at `--threads` workers, default
  * all cores), the M5 figure (topology events/sec), the M6 figure
  * (collective events/sec), the M7 figure (scenario events/sec),
- * the M8 figure (resilience events/sec) and the M9 figure
- * (generated events/sec) to the perf trajectory file (default
- * BENCH_engine.json), giving every PR nine comparable data
- * points. See ROADMAP.md "Performance methodology".
+ * the M8 figure (resilience events/sec), the M9 figure
+ * (generated events/sec) and the M10 figure (variant events/sec)
+ * to the perf trajectory file (default BENCH_engine.json), giving
+ * every PR ten comparable data points. See ROADMAP.md "Performance
+ * methodology".
  *
  * Trajectory points also carry selected engine counters from
  * src/obs/ (heap pushes, arena high water, rate recomputes,
- * collective steps, rollback rework, cache hit rates) next to each
+ * collective steps, rollback rework, wait-queue scan steps and
+ * depth, cache hit rates) next to each
  * figure; these are informational — the regression gate
  * (scripts/bench_check.sh) keys on the throughput figures only, so
  * old baselines stay valid.
@@ -1032,6 +1039,107 @@ genPointToJson(const GenJsonPoint &point)
 }
 
 /**
+ * The M10 configuration: the real-pattern 16-chunk overlap variant of
+ * the sweep3d-x8 trace (the M3 transform's output) replayed on the
+ * flat bus at 4096 MB/s. Chunking multiplies the transfers about
+ * twentyfold and they contend for the per-node links, so this is
+ * the replay that dominates an R1 sweep and the one that prices
+ * flat-bus admission; M1 times the original trace, which barely
+ * queues. The variant is built and lowered once and replayed
+ * through one reusable session, as the sweep drives it. The
+ * wait-queue gauges ride along (deterministic per run).
+ */
+struct VariantJsonPoint
+{
+    std::string config;
+    std::size_t records = 0;
+    std::uint64_t eventsPerRun = 0;
+    std::uint64_t runs = 0;
+    double eventsPerSec = 0.0;
+    double nsPerEvent = 0.0;
+    long peakRssKb = 0;
+    /** Per-run engine counters (deterministic across runs). */
+    obs::EngineStats stats;
+};
+
+VariantJsonPoint
+measureVariantConfig(double min_seconds)
+{
+    const auto bundle = traceApp("sweep3d", 8);
+    core::TransformConfig config;
+    config.pattern = core::PatternModel::real;
+    config.mechanism = core::Mechanism::both;
+    config.chunks = 16;
+    const auto variant = core::buildOverlappedTrace(
+        bundle.traces, bundle.overlap, config);
+    auto platform = sim::platforms::defaultCluster();
+    platform.bandwidthMBps = 4096.0;
+
+    const auto program = sim::compileShared(variant.traces);
+    sim::ReplaySession session;
+    const auto warmup = session.run(*program, platform);
+
+    std::uint64_t events = 0;
+    std::uint64_t runs = 0;
+    const auto start = std::chrono::steady_clock::now();
+    double elapsed = 0.0;
+    do {
+        const auto result = session.run(*program, platform);
+        events += result.eventsProcessed;
+        ++runs;
+        elapsed = std::chrono::duration<double>(
+                      std::chrono::steady_clock::now() - start)
+                      .count();
+    } while (elapsed < min_seconds);
+
+    VariantJsonPoint point;
+    point.config = "sweep3d-x8/overlap-real16/bw4096";
+    point.records = variant.traces.totalRecords();
+    point.eventsPerRun = warmup.eventsProcessed;
+    point.stats = warmup.stats;
+    point.runs = runs;
+    point.eventsPerSec = static_cast<double>(events) / elapsed;
+    point.nsPerEvent =
+        elapsed * 1e9 / static_cast<double>(events);
+    struct rusage usage{};
+    getrusage(RUSAGE_SELF, &usage);
+    point.peakRssKb = usage.ru_maxrss;
+    return point;
+}
+
+std::string
+variantPointToJson(const VariantJsonPoint &point)
+{
+    char stamp[32] = "unknown";
+    const std::time_t now = std::time(nullptr);
+    if (std::tm tm_utc{}; gmtime_r(&now, &tm_utc) != nullptr)
+        std::strftime(stamp, sizeof stamp, "%Y-%m-%dT%H:%M:%SZ",
+                      &tm_utc);
+    return strformat(
+        "{\n"
+        "    \"bench\": \"bench_micro.variantReplay\",\n"
+        "    \"config\": \"%s\",\n"
+        "    \"records\": %zu,\n"
+        "    \"events_per_run\": %llu,\n"
+        "    \"runs\": %llu,\n"
+        "    \"variant_events_per_sec\": %.0f,\n"
+        "    \"ns_per_event\": %.2f,\n"
+        "    \"wait_scan_steps\": %llu,\n"
+        "    \"wait_queue_max_depth\": %llu,\n"
+        "    \"peak_rss_kb\": %ld,\n"
+        "    \"timestamp\": \"%s\"\n"
+        "  }",
+        point.config.c_str(), point.records,
+        static_cast<unsigned long long>(point.eventsPerRun),
+        static_cast<unsigned long long>(point.runs),
+        point.eventsPerSec, point.nsPerEvent,
+        static_cast<unsigned long long>(point.stats.waitScanSteps),
+        static_cast<unsigned long long>(
+            point.stats.waitQueueMaxDepth),
+        point.peakRssKb, stamp);
+}
+
+/**
  * The M4 configuration: one R1-style bandwidth sweep of the sweep3d
  * proxy (original + the two standard variants per grid point),
  * repeated until the clock budget runs out. The figure of merit is
@@ -1270,6 +1378,17 @@ runJsonMode(const std::string &path, int threads)
         static_cast<unsigned long long>(genPoint.runs),
         static_cast<unsigned long long>(genPoint.eventsPerRun),
         genPoint.peakRssKb);
+    const VariantJsonPoint variant = measureVariantConfig(1.5);
+    std::printf(
+        "%-22s %9.2f M events/s  %6.2f ns/event  "
+        "(%llu runs x %llu events, %llu wait-scan steps/run, "
+        "rss %ld KB)\n",
+        variant.config.c_str(), variant.eventsPerSec / 1e6,
+        variant.nsPerEvent,
+        static_cast<unsigned long long>(variant.runs),
+        static_cast<unsigned long long>(variant.eventsPerRun),
+        static_cast<unsigned long long>(variant.stats.waitScanSteps),
+        variant.peakRssKb);
     appendToTrajectory(path, pointToJson(largest));
     appendToTrajectory(path, compilePointToJson(compile));
     appendToTrajectory(path, transformPointToJson(transform));
@@ -1279,14 +1398,16 @@ runJsonMode(const std::string &path, int threads)
     appendToTrajectory(path, scenPointToJson(scen));
     appendToTrajectory(path, resPointToJson(res));
     appendToTrajectory(path, genPointToJson(genPoint));
+    appendToTrajectory(path, variantPointToJson(variant));
     std::printf(
-        "trajectory points (%s, %s, %s, %s, %s, %s, %s, %s, %s) "
+        "trajectory points (%s, %s, %s, %s, %s, %s, %s, %s, %s, %s) "
         "appended to %s\n",
         largest.config.c_str(), compile.config.c_str(),
         transform.config.c_str(), sweep.config.c_str(),
         topo.config.c_str(), coll.config.c_str(),
         scen.config.c_str(), res.config.c_str(),
-        genPoint.config.c_str(), path.c_str());
+        genPoint.config.c_str(), variant.config.c_str(),
+        path.c_str());
     return 0;
 }
 

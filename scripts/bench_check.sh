@@ -5,8 +5,8 @@
 # throughput measurement on its largest configuration plus the M2
 # trace-lowering, M3 overlap-transformation, M4 sweep-throughput,
 # M5 contended-topology, M6 algorithmic-collective, M7
-# dynamic-scenario, M8 resilience and M9 generated-workload
-# measurements) and fails if any figure regressed
+# dynamic-scenario, M8 resilience, M9 generated-workload and M10
+# variant-replay measurements) and fails if any figure regressed
 # more than the threshold against the checked-in baseline
 # (bench/BENCH_baseline.json):
 #
@@ -19,6 +19,7 @@
 #   M7  scen_events_per_sec        degraded-scenario replay throughput
 #   M8  res_events_per_sec         checkpoint/restart replay throughput
 #   M9  gen_events_per_sec         generated-workload (gen+lower+replay) throughput
+#   M10 variant_events_per_sec     16-chunk overlap-variant flat-bus replay throughput
 #
 # A baseline that lacks any gated key is stale: the gate fails fast
 # with a readable diff of the expected vs present keys instead of
@@ -57,7 +58,7 @@ GATED_KEYS=(events_per_sec compile_records_per_sec
             transform_records_per_sec sweep_points_per_sec
             topo_events_per_sec coll_events_per_sec
             scen_events_per_sec res_events_per_sec
-            gen_events_per_sec)
+            gen_events_per_sec variant_events_per_sec)
 UPDATE=0
 if [[ "${1:-}" == "--update" ]]; then
     UPDATE=1
@@ -147,7 +148,8 @@ if [[ "$UPDATE" == 1 || ! -f "$BASELINE" ]]; then
          "$(extract_key "$BASELINE" coll_events_per_sec) coll events/sec," \
          "$(extract_key "$BASELINE" scen_events_per_sec) scen events/sec," \
          "$(extract_key "$BASELINE" res_events_per_sec) res events/sec," \
-         "$(extract_key "$BASELINE" gen_events_per_sec) gen events/sec)"
+         "$(extract_key "$BASELINE" gen_events_per_sec) gen events/sec," \
+         "$(extract_key "$BASELINE" variant_events_per_sec) variant events/sec)"
     exit 0
 fi
 
@@ -160,7 +162,7 @@ KEY_LABELS=("M1 events/sec" "M2 compile records/sec"
             "M3 transform records/sec" "M4 sweep points/sec"
             "M5 topo events/sec" "M6 coll events/sec"
             "M7 scen events/sec" "M8 res events/sec"
-            "M9 gen events/sec")
+            "M9 gen events/sec" "M10 variant events/sec")
 
 FAILED=0
 printf 'bench_check: %-26s %14s %14s %8s  %s\n' \

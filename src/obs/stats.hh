@@ -60,12 +60,17 @@ struct EngineStats
     /** Simulated time re-executed or paid as restart cost across
      * all rollbacks (sum of restore deltas), in nanoseconds. */
     std::uint64_t rollbackReworkNs = 0;
+    /** Flat-bus wait-queue entries visited by release scans
+     * (including entries unlinked after starting elsewhere). */
+    std::uint64_t waitScanSteps = 0;
+    /** Most transfers waiting for flat-bus resources at once. */
+    std::uint64_t waitQueueMaxDepth = 0;
 
     bool operator==(const EngineStats &) const = default;
 
     /**
      * Fold another replay's stats into this one (campaign-row
-     * aggregation): counters add, the high-water mark takes the
+     * aggregation): counters add, the high-water marks take the
      * max. Commutative and associative, so campaign aggregates are
      * independent of point order and thread count.
      */
@@ -84,6 +89,9 @@ struct EngineStats
         scenarioEvents += o.scenarioEvents;
         collSteps += o.collSteps;
         rollbackReworkNs += o.rollbackReworkNs;
+        waitScanSteps += o.waitScanSteps;
+        if (o.waitQueueMaxDepth > waitQueueMaxDepth)
+            waitQueueMaxDepth = o.waitQueueMaxDepth;
         return *this;
     }
 

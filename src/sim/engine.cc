@@ -154,8 +154,6 @@ struct Transfer
     Rank dst = 0;
     /** Next unmatched send on the same channel (FIFO order). */
     std::uint32_t chanNext = npos32;
-    /** Next transfer queued for interconnect resources. */
-    std::uint32_t waitNext = npos32;
     std::uint16_t flags = 0;
 
     bool has(std::uint16_t f) const { return (flags & f) != 0; }
@@ -163,7 +161,33 @@ struct Transfer
     void clear(std::uint16_t f) { flags &= static_cast<std::uint16_t>(~f); }
 };
 
-static_assert(sizeof(Transfer) <= 64);
+static_assert(sizeof(Transfer) <= 56);
+
+/**
+ * One transfer waiting for flat-bus resources, pooled in
+ * Engine::waitPool_ so that only transfers that actually wait cost
+ * memory. Side 0 links it into the out-queue of its source node, or
+ * into the single bus FIFO when buses are limited; side 1 into the
+ * in-queue of its destination node. queue[side] is that queue's id
+ * (npos32 when the side has no limited resource) and prev/next are
+ * pool indices. `seq` is the admission order, which merges the two
+ * queues of a release. Free entries are threaded through next[0].
+ */
+struct Waiter
+{
+    std::uint32_t transfer = npos32;
+    std::uint32_t seq = 0;
+    std::uint32_t queue[2] = {npos32, npos32};
+    std::uint32_t prev[2] = {npos32, npos32};
+    std::uint32_t next[2] = {npos32, npos32};
+};
+
+/** Head and tail of one wait queue of pooled Waiters. */
+struct WaitQueue
+{
+    std::uint32_t head = npos32;
+    std::uint32_t tail = npos32;
+};
 
 /** Timeline-only transfer details (parallel to the transfer arena). */
 struct TransferMeta
@@ -309,7 +333,13 @@ class Engine
                        SimTime post_time);
     bool tryAcquireResources(const Transfer &transfer);
     void makeEligible(std::uint32_t idx, SimTime t);
-    void tryStartQueued(SimTime t);
+    std::uint32_t waitQueueOf(int side, std::size_t src_node,
+                              std::size_t dst_node) const;
+    bool waitQueueExhausted(int side, std::uint32_t q) const;
+    void enqueueWaiter(std::uint32_t idx);
+    void unlinkWaiter(std::uint32_t w);
+    void noteRelease(std::size_t src_node, std::size_t dst_node);
+    void startReleasedWaiters(SimTime t);
     void startTransfer(std::uint32_t idx, SimTime t);
     void handleInjected(std::uint32_t idx, SimTime t);
     void handleNetInjected(std::uint32_t idx, SimTime t);
@@ -514,9 +544,12 @@ class Engine
         std::vector<Transfer> transfers;
         std::vector<RecvPost> recvPool;
         std::uint32_t recvPoolFree = npos32;
-        std::uint32_t waitHead = npos32;
-        std::uint32_t waitTail = npos32;
-        bool resourcesFreed = false;
+        std::vector<Waiter> waitPool;
+        std::uint32_t waitPoolFree = npos32;
+        std::vector<WaitQueue> waitQueues[2];
+        std::uint32_t waitSeq = 0;
+        std::uint32_t waiting = 0;
+        std::uint32_t released[2] = {npos32, npos32};
         FlatMap<ChannelKey, ChannelQueue> channels;
         std::vector<Barrier> barriers;
         int busFree = 0;
@@ -586,18 +619,46 @@ class Engine
     std::vector<RecvPost> recvPool_;
     std::uint32_t recvPoolFree_ = npos32;
 
-    /** Transfers queued for interconnect resources, FIFO. */
-    std::uint32_t waitHead_ = npos32;
-    std::uint32_t waitTail_ = npos32;
     /**
-     * True while resources have been released since the last full
-     * wait-queue scan — i.e. inside handleInjected's window between
-     * freeing capacity and its rescan, where queued entries may have
-     * become startable. Outside that window every queued entry is
-     * provably stuck, so makeEligible may test only its own
-     * transfer without breaking FIFO arbitration.
+     * Flat-bus wait queue, indexed by the resource a waiter needs.
+     *
+     * A remote transfer that cannot acquire its bus and links waits
+     * in FIFO (admission) order. With buses limited there is one
+     * FIFO, waitQueues_[0][0]. Otherwise a waiter is linked into the
+     * out-queue of its source node (waitQueues_[0], when out-links
+     * are limited) and into the in-queue of its destination node
+     * (waitQueues_[1], when in-links are limited). The entries, with
+     * their links and admission sequence numbers, live in waitPool_.
+     *
+     * Invariant: outside a release window every waiter is stuck,
+     * i.e. some resource it needs has no free unit. A release (an
+     * injection or a background flow finishing) records the queues
+     * of what it freed in released_, and startReleasedWaiters then
+     * walks only those queues — merged by sequence number, each
+     * walk stopping once its resource is exhausted again, which
+     * every later waiter of that queue needs — starting every
+     * waiter that can now acquire. This starts exactly the
+     * transfers, in exactly the order, that a scan of the whole FIFO
+     * would: a waiter that needs none of the released resources was
+     * stuck before the release and stays stuck, because a scan only
+     * shrinks capacity; and visiting the remaining candidates in
+     * admission order is the whole-FIFO order restricted to the
+     * waiters that can start. A transfer posted inside the window
+     * (a woken rank re-entering postSend) is newer than every
+     * waiter, so it is tried after the scan — the place FIFO gives
+     * it — and queued only if it is stuck.
+     *
+     * A waiter that starts leaves both of its queues at once (they
+     * are doubly linked). `waiting_` counts the waiters for the
+     * depth gauge.
      */
-    bool resourcesFreed_ = false;
+    std::vector<Waiter> waitPool_;
+    std::uint32_t waitPoolFree_ = npos32;
+    std::vector<WaitQueue> waitQueues_[2];
+    std::uint32_t waitSeq_ = 0;
+    std::uint32_t waiting_ = 0;
+    /** Queue ids (per side) of the pending release, or npos32. */
+    std::uint32_t released_[2] = {npos32, npos32};
 
     /** (src, dst, tag) -> unmatched send/receive FIFOs. */
     FlatMap<ChannelKey, ChannelQueue> channels_;
@@ -699,9 +760,13 @@ Engine::reset()
     txMeta_.clear();
     recvPool_.clear();
     recvPoolFree_ = npos32;
-    waitHead_ = npos32;
-    waitTail_ = npos32;
-    resourcesFreed_ = false;
+    waitPool_.clear();
+    waitPoolFree_ = npos32;
+    waitQueues_[0].clear();
+    waitQueues_[1].clear();
+    waitSeq_ = 0;
+    waiting_ = 0;
+    released_[0] = released_[1] = npos32;
     channels_.clear();
     barriers_.clear();
     // Every pooled CollExec is free at the start of a run (a
@@ -854,6 +919,19 @@ Engine::run(const ReplayProgram &program,
     transfers_.reserve(program.totalSends() + coll_sends);
     if (capture_)
         txMeta_.reserve(program.totalSends() + coll_sends);
+    // Flat-bus wait queues (see waitPool_).
+    if (!netMode_) {
+        if (busesLimited()) {
+            waitQueues_[0].assign(1, WaitQueue{});
+        } else {
+            if (outLimited())
+                waitQueues_[0].assign(static_cast<std::size_t>(nodes),
+                                      WaitQueue{});
+            if (inLimited())
+                waitQueues_[1].assign(static_cast<std::size_t>(nodes),
+                                      WaitQueue{});
+        }
+    }
     events_.reserve(static_cast<std::size_t>(nranks) * 4 + 256);
     // Scale the channel table with the program so big replays do
     // not pay rehash churn.
@@ -1375,52 +1453,157 @@ Engine::makeEligible(std::uint32_t idx, SimTime t)
         startTransfer(idx, t);
         return;
     }
-    // Fast path: when no resources were freed since the last full
-    // scan, every queued transfer is still stuck, so enqueue-then-
-    // scan reduces to checking this transfer's resources directly
-    // (an acquire only shrinks capacity and cannot unstick others).
-    // Inside the release window (resourcesFreed_) older queued
-    // entries may be startable and FIFO demands they go first, so
-    // the full scan must run.
-    if (!resourcesFreed_ && tryAcquireResources(transfer)) {
+    // Inside a release window older waiters on the released
+    // resources may have become startable, and FIFO demands they go
+    // first. Everything else that waits is stuck, and this transfer
+    // is newer than all of it, so it only needs its own check (see
+    // waitPool_).
+    startReleasedWaiters(t);
+    if (tryAcquireResources(transfer)) {
         startTransfer(idx, t);
         return;
     }
-    if (waitTail_ == npos32)
-        waitHead_ = idx;
-    else
-        transfers_[waitTail_].waitNext = idx;
-    waitTail_ = idx;
-    if (resourcesFreed_)
-        tryStartQueued(t);
+    enqueueWaiter(idx);
+}
+
+/**
+ * Queue id of the wait queue on `side` (0: bus FIFO or out-queue,
+ * 1: in-queue) that a src_node -> dst_node transfer waits in, or
+ * npos32 when that side has no limited resource.
+ */
+std::uint32_t
+Engine::waitQueueOf(int side, std::size_t src_node,
+                    std::size_t dst_node) const
+{
+    if (busesLimited())
+        return side == 0 ? 0 : npos32;
+    if (side == 0)
+        return outLimited() ? static_cast<std::uint32_t>(src_node)
+                            : npos32;
+    return inLimited() ? static_cast<std::uint32_t>(dst_node) : npos32;
+}
+
+/** No free unit of the resource every waiter of the queue needs. */
+bool
+Engine::waitQueueExhausted(int side, std::uint32_t q) const
+{
+    if (side == 1)
+        return inFree_[q] <= 0;
+    return busesLimited() ? busFree_ <= 0 : outFree_[q] <= 0;
 }
 
 void
-Engine::tryStartQueued(SimTime t)
+Engine::enqueueWaiter(std::uint32_t idx)
 {
-    std::uint32_t prev = npos32;
-    std::uint32_t idx = waitHead_;
-    while (idx != npos32) {
-        Transfer &transfer = transfers_[idx];
-        const std::uint32_t nxt = transfer.waitNext;
-        if (tryAcquireResources(transfer)) {
-            // Unlink from the wait queue.
-            if (prev == npos32)
-                waitHead_ = nxt;
-            else
-                transfers_[prev].waitNext = nxt;
-            if (waitTail_ == idx)
-                waitTail_ = prev;
-            transfer.waitNext = npos32;
-            startTransfer(idx, t);
-        } else {
-            prev = idx;
-        }
-        idx = nxt;
+    std::uint32_t w = waitPoolFree_;
+    if (w != npos32) {
+        waitPoolFree_ = waitPool_[w].next[0];
+    } else {
+        w = static_cast<std::uint32_t>(waitPool_.size());
+        waitPool_.emplace_back();
     }
-    // Every remaining entry was just verified stuck against the
-    // current resource state.
-    resourcesFreed_ = false;
+    const Transfer &transfer = transfers_[idx];
+    Waiter &waiter = waitPool_[w];
+    waiter.transfer = idx;
+    waiter.seq = waitSeq_++;
+    for (int side = 0; side < 2; ++side) {
+        const std::uint32_t q = waitQueueOf(
+            side, nodeOf(transfer.src), nodeOf(transfer.dst));
+        waiter.queue[side] = q;
+        if (q == npos32)
+            continue;
+        WaitQueue &wq = waitQueues_[side][q];
+        waiter.prev[side] = wq.tail;
+        waiter.next[side] = npos32;
+        if (wq.tail == npos32)
+            wq.head = w;
+        else
+            waitPool_[wq.tail].next[side] = w;
+        wq.tail = w;
+    }
+    if (++waiting_ > stats_.waitQueueMaxDepth)
+        stats_.waitQueueMaxDepth = waiting_;
+}
+
+/** Take a waiter out of its queues and return it to the pool. */
+void
+Engine::unlinkWaiter(std::uint32_t w)
+{
+    Waiter &waiter = waitPool_[w];
+    for (int side = 0; side < 2; ++side) {
+        const std::uint32_t q = waiter.queue[side];
+        if (q == npos32)
+            continue;
+        WaitQueue &wq = waitQueues_[side][q];
+        const std::uint32_t p = waiter.prev[side];
+        const std::uint32_t n = waiter.next[side];
+        if (p == npos32)
+            wq.head = n;
+        else
+            waitPool_[p].next[side] = n;
+        if (n == npos32)
+            wq.tail = p;
+        else
+            waitPool_[n].prev[side] = p;
+    }
+    waiter.next[0] = waitPoolFree_;
+    waitPoolFree_ = w;
+    --waiting_;
+}
+
+/** Open a release window over the queues of what was just freed. */
+void
+Engine::noteRelease(std::size_t src_node, std::size_t dst_node)
+{
+    ovlAssert(released_[0] == npos32 && released_[1] == npos32,
+              "overlapping resource releases");
+    released_[0] = waitQueueOf(0, src_node, dst_node);
+    released_[1] = waitQueueOf(1, src_node, dst_node);
+}
+
+/**
+ * Close the pending release window (if any): start, in admission
+ * order, every waiter of the released queues that can now acquire
+ * its resources (see waitPool_ for why this equals a FIFO scan).
+ */
+void
+Engine::startReleasedWaiters(SimTime t)
+{
+    const std::uint32_t q[2] = {released_[0], released_[1]};
+    if (q[0] == npos32 && q[1] == npos32)
+        return;
+    released_[0] = released_[1] = npos32;
+    std::uint32_t cur[2] = {npos32, npos32};
+    for (int side = 0; side < 2; ++side) {
+        if (q[side] != npos32)
+            cur[side] = waitQueues_[side][q[side]].head;
+    }
+    for (;;) {
+        // A queue whose resource is exhausted holds only stuck
+        // waiters from here on.
+        for (int side = 0; side < 2; ++side) {
+            if (cur[side] != npos32 && waitQueueExhausted(side, q[side]))
+                cur[side] = npos32;
+        }
+        std::uint32_t w = cur[0];
+        if (w == npos32 ||
+            (cur[1] != npos32 &&
+             waitPool_[cur[1]].seq < waitPool_[w].seq))
+            w = cur[1];
+        if (w == npos32)
+            break;
+        ++stats_.waitScanSteps;
+        // Both walks reach a waiter they share at the same step.
+        for (int side = 0; side < 2; ++side) {
+            if (cur[side] == w)
+                cur[side] = waitPool_[w].next[side];
+        }
+        const std::uint32_t idx = waitPool_[w].transfer;
+        if (tryAcquireResources(transfers_[idx])) {
+            unlinkWaiter(w);
+            startTransfer(idx, t);
+        }
+    }
 }
 
 void
@@ -1531,19 +1714,13 @@ Engine::handleInjected(std::uint32_t idx, SimTime t)
             ++outFree_[src_node];
         if (inLimited())
             ++inFree_[dst_node];
-        // Queued transfers may now be startable; until the rescan
-        // below runs, makeEligible must not bypass the FIFO scan.
-        resourcesFreed_ = true;
+        noteRelease(src_node, dst_node);
     }
 
+    // A transfer the woken sender posts closes the release window
+    // itself (makeEligible); otherwise it closes here.
     finishInjection(idx, t);
-
-    if (!local) {
-        if (waitHead_ != npos32)
-            tryStartQueued(t); // also clears resourcesFreed_
-        else
-            resourcesFreed_ = false; // nothing was waiting
-    }
+    startReleasedWaiters(t);
 }
 
 /**
@@ -2155,11 +2332,9 @@ Engine::handleBackgroundFinish(std::uint32_t i, SimTime t)
         ++outFree_[static_cast<std::size_t>(ev.nodeA)];
     if (inLimited())
         ++inFree_[static_cast<std::size_t>(ev.nodeB)];
-    resourcesFreed_ = true;
-    if (waitHead_ != npos32)
-        tryStartQueued(t); // also clears resourcesFreed_
-    else
-        resourcesFreed_ = false;
+    noteRelease(static_cast<std::size_t>(ev.nodeA),
+                static_cast<std::size_t>(ev.nodeB));
+    startReleasedWaiters(t);
 }
 
 /** Structured where-was-everyone report of a fail-stop at `t`. */
@@ -2278,9 +2453,14 @@ Engine::takeSnapshot(SimTime anchor)
     s.transfers.assign(transfers_.begin(), transfers_.end());
     s.recvPool.assign(recvPool_.begin(), recvPool_.end());
     s.recvPoolFree = recvPoolFree_;
-    s.waitHead = waitHead_;
-    s.waitTail = waitTail_;
-    s.resourcesFreed = resourcesFreed_;
+    s.waitPool = waitPool_;
+    s.waitPoolFree = waitPoolFree_;
+    s.waitQueues[0] = waitQueues_[0];
+    s.waitQueues[1] = waitQueues_[1];
+    s.waitSeq = waitSeq_;
+    s.waiting = waiting_;
+    s.released[0] = released_[0];
+    s.released[1] = released_[1];
     s.channels = channels_;
     s.barriers.assign(barriers_.begin(), barriers_.end());
     s.busFree = busFree_;
@@ -2427,9 +2607,14 @@ Engine::restartFromCheckpoint(std::uint32_t i, SimTime t)
     std::copy(s.recvPool.begin(), s.recvPool.end(),
               recvPool_.begin());
     recvPoolFree_ = s.recvPoolFree;
-    waitHead_ = s.waitHead;
-    waitTail_ = s.waitTail;
-    resourcesFreed_ = s.resourcesFreed;
+    waitPool_ = s.waitPool;
+    waitPoolFree_ = s.waitPoolFree;
+    waitQueues_[0] = s.waitQueues[0];
+    waitQueues_[1] = s.waitQueues[1];
+    waitSeq_ = s.waitSeq;
+    waiting_ = s.waiting;
+    released_[0] = s.released[0];
+    released_[1] = s.released[1];
     channels_ = s.channels;
     barriers_.assign(s.barriers.begin(), s.barriers.end());
     busFree_ = s.busFree;

@@ -76,11 +76,15 @@ TEST(EngineStatsTest, MergeAddsCountersAndMaxesTheHighWater)
     a.channelProbes = 4;
     a.arenaHighWater = 3;
     a.rollbackReworkNs = 100;
+    a.waitScanSteps = 6;
+    a.waitQueueMaxDepth = 4;
     obs::EngineStats b;
     b.heapPushes = 5;
     b.heapPops = 5;
     b.arenaHighWater = 7;
     b.collSteps = 2;
+    b.waitScanSteps = 3;
+    b.waitQueueMaxDepth = 2;
 
     obs::EngineStats ab = a;
     ab.merge(b);
@@ -90,6 +94,8 @@ TEST(EngineStatsTest, MergeAddsCountersAndMaxesTheHighWater)
     EXPECT_EQ(ab.arenaHighWater, 7u);
     EXPECT_EQ(ab.collSteps, 2u);
     EXPECT_EQ(ab.rollbackReworkNs, 100u);
+    EXPECT_EQ(ab.waitScanSteps, 9u);
+    EXPECT_EQ(ab.waitQueueMaxDepth, 4u);
 
     // Commutative: fold order cannot matter for campaign rows.
     obs::EngineStats ba = b;
@@ -121,6 +127,47 @@ TEST(EngineStatsTest, ClosedFormPingPinsTheCounters)
     const auto again =
         sim::simulate(traces, sim::platforms::defaultCluster());
     EXPECT_TRUE(again.stats == stats);
+}
+
+TEST(EngineStatsTest, WaitQueueGaugesPinnedOnReentrantPosts)
+{
+    // The trace of WaitQueueStaysFifoUnderReentrantPosts
+    // (test_engine_determinism.cc), on one bus: rank 3's 1 MB send
+    // to rank 2 queues behind rank 0's 1 MB send to rank 1. When that injects, the woken rank 0 posts an eager 1 KB
+    // send to rank 2 inside the release window: the release scan
+    // visits and starts rank 3's transfer (one step), and the new
+    // send, stuck behind it, queues. The second release visits and
+    // starts it (one step). One waiter at a time throughout.
+    TraceSet traces("fifo", 4);
+    traces.rankTrace(0).append(SendRec{1, 1, 1'000'000, 1});
+    traces.rankTrace(0).append(SendRec{2, 2, 1'000, 2});
+    traces.rankTrace(1).append(RecvRec{0, 1, 1'000'000, 1});
+    traces.rankTrace(3).append(SendRec{2, 3, 1'000'000, 3});
+    traces.rankTrace(2).append(RecvRec{3, 3, 1'000'000, 3});
+    traces.rankTrace(2).append(RecvRec{0, 2, 1'000, 2});
+    auto platform = sim::platforms::defaultCluster();
+    platform.buses = 1;
+    platform.eagerThreshold = 4096;
+
+    const auto result = sim::simulate(traces, platform);
+    EXPECT_EQ(result.stats.waitScanSteps, 2u);
+    EXPECT_EQ(result.stats.waitQueueMaxDepth, 1u);
+
+    // Per-node links only: the two 1 MB sends use disjoint links,
+    // but rank 0's eager send needs rank 2's in-link, which rank 3's
+    // send holds, so it waits in out-queue 0 and in-queue 2. Rank
+    // 3's release starts it from in-queue 2 (one step), which also
+    // takes it out of out-queue 0.
+    platform.buses = 0;
+    const auto links = sim::simulate(traces, platform);
+    EXPECT_EQ(links.stats.waitScanSteps, 1u);
+    EXPECT_EQ(links.stats.waitQueueMaxDepth, 1u);
+
+    // The topology network has no admission gate.
+    platform.topology = net::topologies::taperedFatTree(2);
+    const auto routed = sim::simulate(traces, platform);
+    EXPECT_EQ(routed.stats.waitScanSteps, 0u);
+    EXPECT_EQ(routed.stats.waitQueueMaxDepth, 0u);
 }
 
 TEST(EngineStatsTest, HeapBalancesOnRollbackFreeContendedReplays)
@@ -249,6 +296,10 @@ TEST(ObsCampaignTest, SweepStatsBitIdenticalAcrossThreadCounts)
     const auto reference =
         core::bandwidthSweep(bundle, base, grid, variants, 1);
     EXPECT_GT(reference.stats.heapPushes, 0u);
+    // The chunked variants queue for the per-node links, so the
+    // wait-queue gauges take part in the comparisons below.
+    EXPECT_GT(reference.stats.waitScanSteps, 0u);
+    EXPECT_GT(reference.stats.waitQueueMaxDepth, 1u);
     ASSERT_EQ(reference.points.size(), grid.size());
 
     for (const int threads : {2, 8}) {
