@@ -37,30 +37,24 @@ main(int argc, char **argv)
             *study.originalProgram(), platform);
         const auto original = study.simulateOriginal(platform);
 
-        // One job per chunk granularity; the variant constructions
-        // and lowerings fan over the pool and each job carries the
-        // study's cached compiled program (no re-lowering in the
-        // batch).
-        std::vector<sim::SimJob> jobs(chunk_counts.size());
-        {
-            ThreadPool pool(std::min(
-                threads, static_cast<int>(chunk_counts.size())));
-            pool.parallelFor(
-                chunk_counts.size(), [&](std::size_t i, int) {
-                    core::TransformConfig config;
-                    config.pattern =
-                        core::PatternModel::idealLinear;
-                    config.chunks = chunk_counts[i];
-                    jobs[i] = {study.overlappedProgram(config),
-                               platform};
-                });
-        }
-        const auto results = sim::simulateBatch(jobs, threads);
+        // One job per chunk granularity: the variant construction,
+        // lowering and replay fan over the pool together.
+        std::vector<SimTime> times(chunk_counts.size());
+        ThreadPool pool(std::min(
+            threads, static_cast<int>(chunk_counts.size())));
+        pool.parallelFor(
+            chunk_counts.size(), [&](std::size_t i, int) {
+                core::TransformConfig config;
+                config.pattern = core::PatternModel::idealLinear;
+                config.chunks = chunk_counts[i];
+                times[i] = study.simulateOverlapped(config, platform)
+                               .totalTime;
+            });
 
         TablePrinter table({"chunks", "t overlap-ideal",
                             "speedup"});
         for (std::size_t i = 0; i < chunk_counts.size(); ++i) {
-            const auto t = results[i].totalTime;
+            const auto t = times[i];
             const double speedup =
                 speedupPct(original.totalTime, t);
             table.addRow({strformat("%zu", chunk_counts[i]),

@@ -25,12 +25,11 @@ using namespace ovlsim::bench;
 int
 main(int argc, char **argv)
 {
-    const int threads = parseThreads(argc, argv);
+    parseThreads(argc, argv);
     std::printf("R2: ideal-pattern overlap speedup at the "
                 "intermediate bandwidth\n");
     std::printf("(comm time == compute time in the original "
-                "execution; 16 chunks/message; %d threads)\n\n",
-                threads);
+                "execution; 16 chunks/message)\n\n");
 
     TablePrinter table({"app", "intermediate MB/s",
                         "t original", "t overlap-ideal",
@@ -53,19 +52,11 @@ main(int argc, char **argv)
         core::TransformConfig real;
         real.pattern = core::PatternModel::real;
 
-        // The three replays at the operating point are independent;
-        // batch the study's cached compiled programs over the pool
-        // (the bisection above already paid the original's
-        // lowering).
-        const std::vector<sim::SimJob> jobs{
-            {study.originalProgram(), platform},
-            {study.overlappedProgram(ideal), platform},
-            {study.overlappedProgram(real), platform},
-        };
-        const auto results = sim::simulateBatch(jobs, threads);
-        const auto &original = results[0];
-        const auto t_ideal = results[1].totalTime;
-        const auto t_real = results[2].totalTime;
+        const auto original = study.simulateOriginal(platform);
+        const auto t_ideal =
+            study.simulateOverlapped(ideal, platform).totalTime;
+        const auto t_real =
+            study.simulateOverlapped(real, platform).totalTime;
 
         const double ideal_pct =
             speedupPct(original.totalTime, t_ideal);

@@ -23,10 +23,9 @@ using namespace ovlsim::bench;
 int
 main(int argc, char **argv)
 {
-    const int threads = parseThreads(argc, argv);
+    parseThreads(argc, argv);
     std::printf("A1: mechanism ablation at the intermediate "
-                "bandwidth (ideal pattern, 16 chunks; "
-                "%d threads)\n\n", threads);
+                "bandwidth (ideal pattern, 16 chunks)\n\n");
 
     TablePrinter table({"app", "MB/s", "send-side only",
                         "recv-side only", "both"});
@@ -41,10 +40,8 @@ main(int argc, char **argv)
         platform.bandwidthMBps = core::findIntermediateBandwidth(
             *study.originalProgram(), platform);
 
-        // Original plus the three mechanism variants, batched over
-        // the study's cached compiled programs.
-        std::vector<sim::SimJob> jobs{
-            {study.originalProgram(), platform}};
+        const auto original = study.simulateOriginal(platform);
+        std::vector<double> speedups;
         for (const auto mechanism :
              {core::Mechanism::sendSide,
               core::Mechanism::recvSide,
@@ -52,15 +49,10 @@ main(int argc, char **argv)
             core::TransformConfig config;
             config.pattern = core::PatternModel::idealLinear;
             config.mechanism = mechanism;
-            jobs.push_back(
-                {study.overlappedProgram(config), platform});
-        }
-        const auto results = sim::simulateBatch(jobs, threads);
-        const auto &original = results[0];
-        std::vector<double> speedups;
-        for (std::size_t v = 1; v < results.size(); ++v) {
             speedups.push_back(speedupPct(
-                original.totalTime, results[v].totalTime));
+                original.totalTime,
+                study.simulateOverlapped(config, platform)
+                    .totalTime));
         }
         table.addRow({name, mbps(platform.bandwidthMBps),
                       pct(speedups[0]), pct(speedups[1]),

@@ -1,68 +1,20 @@
 /**
  * @file
- * Experiments M1-M4: engineering microbenchmarks of the
- * environment itself (google-benchmark).
+ * Engineering microbenchmarks of the environment itself.
  *
- *  - M1: replay-engine throughput (events per second) on compiled
- *    replay programs — each trace is lowered once and replayed
- *    through a reusable session, the campaign hot path,
- *  - M2: trace-lowering throughput (records compiled per second by
- *    sim::compileTrace),
- *  - M3: overlap-transformation throughput (records per second
- *    through core::buildOverlappedTrace — the dominant per-variant
- *    setup cost of a sweep campaign now that replay is compiled),
- *  - M4: study-campaign throughput (bandwidth-sweep points per
- *    second on the parallel runtime),
- *  - M5: contended-topology replay throughput (events per second
- *    replaying through the link-contention network model of
- *    src/net/ on a tapered fat tree),
- *  - M6: algorithmic-collective replay throughput (events per
- *    second replaying nas-cg-x8 on the tapered fat tree with
- *    collectives lowered into point-to-point schedules, src/coll/),
- *  - M7: dynamic-scenario replay throughput (events per second
- *    replaying sweep3d-x8 on the tapered fat tree while a scenario
- *    degrades and recovers the whole fabric mid-run, src/scen/),
- *  - M8: resilient replay throughput (events per second replaying
- *    sweep3d-x8 on the tapered fat tree under generated fail-stop
- *    faults with checkpoint/restart, so every run pays checkpoint
- *    freezes and at least one rollback, src/res/),
- *  - M9: generated-workload throughput (events per second through
- *    the full synthetic path: generating a 1024-rank ML-training
- *    trace from src/gen/, lowering it, and replaying it on the
- *    tapered fat tree with recursive-doubling allreduces — the
- *    scale no recorded trace reaches),
- *  - M10: variant replay throughput (events per second replaying
- *    the real-pattern 16-chunk overlap variant of sweep3d-x8 on the
- *    flat bus — the replays that make up nearly all of an R1 sweep,
- *    and the ones whose wait queue is deep).
- *
- * Besides the google-benchmark suite, `--json[=PATH]` runs the M1
- * replay-engine configurations standalone plus the M2 compile, M3
- * transform, M4 sweep, M5 topology, M6 collective, M7 scenario,
- * M8 resilience, M9 generator and M10 variant configurations, and
- * appends the
- * largest M1 figure (events/sec, ns/event, peak RSS), the M2
- * figure (records/sec), the M3 figure (transform records/sec),
- * the M4 figure (sweep points/sec at `--threads` workers, default
- * all cores), the M5 figure (topology events/sec), the M6 figure
- * (collective events/sec), the M7 figure (scenario events/sec),
- * the M8 figure (resilience events/sec), the M9 figure
- * (generated events/sec) and the M10 figure (variant events/sec)
- * to the perf trajectory file (default BENCH_engine.json), giving
- * every PR ten comparable data points. See ROADMAP.md "Performance
- * methodology".
- *
- * Trajectory points also carry selected engine counters from
- * src/obs/ (heap pushes, arena high water, rate recomputes,
- * collective steps, rollback rework, wait-queue scan steps and
- * depth, cache hit rates) next to each
- * figure; these are informational — the regression gate
- * (scripts/bench_check.sh) keys on the throughput figures only, so
- * old baselines stay valid.
+ * `--json[=PATH]` measures the M1-M10 figure table below and
+ * appends one point per figure to the perf trajectory file (default
+ * BENCH_engine.json); scripts/bench_check.sh gates each figure's
+ * throughput key. Every figure is set up and warmed once, then its
+ * unit of work (a replay, a compile, a transform or a sweep) repeats
+ * until 1.5 s have passed. Selected src/obs/ counters ride along as
+ * informational, ungated keys. See ROADMAP.md "Performance
+ * methodology". Without --json the binary runs the google-benchmark
+ * suite.
  */
 
-// google-benchmark drives the M1-M3 suite; the --json trajectory
-// mode needs none of it, so hosts without the library still get the
+// google-benchmark drives the suite; the --json trajectory mode
+// needs none of it, so hosts without the library still get the
 // perf gate (CMake defines OVLSIM_HAVE_GBENCH when it is found).
 #ifdef OVLSIM_HAVE_GBENCH
 #include <benchmark/benchmark.h>
@@ -72,11 +24,13 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <ctime>
 #include <fstream>
+#include <functional>
+#include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "bench/bench_common.hh"
 #include "core/transform.hh"
@@ -208,1025 +162,452 @@ traceSerialization(benchmark::State &state)
 
 #endif // OVLSIM_HAVE_GBENCH
 
-/** One M1 configuration of the standalone --json runner. */
-struct JsonConfig
+/** A JSON key and its already formatted value. */
+using Fields = std::vector<std::pair<std::string, std::string>>;
+
+std::string
+count(std::uint64_t value)
 {
-    const char *name;
-    int iterations; // 0 = application default
-    double bandwidthMBps;
+    return std::to_string(value);
+}
+
+/** How a figure reports its unit of work. */
+struct Unit
+{
+    /** What the timed units count, for the stdout line. */
+    const char *items;
+    /** Key counting the timed units. */
+    const char *runsKey;
+    /** Decimals of the items-per-second figure. */
+    int ratePrecision;
+    /** Key, scale (from seconds) and decimals of the cost per
+     * item. */
+    const char *costKey;
+    double costScale;
+    int costPrecision;
 };
 
-/**
- * The --json configurations, smallest to largest. The last entry is
- * "the largest configuration" whose figures feed the trajectory; the
- * 3x acceptance target and the bench_check.sh regression gate both
- * refer to it.
- */
-constexpr JsonConfig jsonConfigs[] = {
-    {"sweep3d-x1/bw4096", 0, 4096.0},
-    {"sweep3d-x8/bw4096", 8, 4096.0},
-    {"sweep3d-x64/bw4096", 64, 4096.0},
-};
+constexpr Unit events{"events", "runs", 0, "ns_per_event", 1e9, 2};
+constexpr Unit records{"records", "runs", 0, "ns_per_record", 1e9, 2};
+constexpr Unit points{"points", "sweeps", 2, "ms_per_point", 1e3, 3};
 
-struct JsonPoint
+/** A figure, set up and warmed, ready for the timing loop. */
+struct Setup
 {
     std::string config;
-    std::size_t records = 0;
-    std::uint64_t eventsPerRun = 0;
-    std::uint64_t runs = 0;
-    double eventsPerSec = 0.0;
-    double nsPerEvent = 0.0;
-    /**
-     * Process-wide ru_maxrss high-water mark at the end of this
-     * config's runs — cumulative over earlier (smaller) configs,
-     * not per-config. The configs run smallest to largest, so the
-     * largest config's figure is in practice its own footprint.
-     */
-    long peakRssKb = 0;
-    /** Per-run engine counters (deterministic across runs). */
-    obs::EngineStats stats;
+    /** Keys written before the run count (sizes, per-run counts). */
+    Fields head;
+    /** One timed unit of work; returns the items it did. */
+    std::function<std::uint64_t()> work;
+    /** Counter keys written after the cost, read once the loop is
+     * done (process-wide cache hit rates include the timed runs). */
+    std::function<Fields()> tail = [] { return Fields{}; };
 };
 
-JsonPoint
-measureConfig(const JsonConfig &config, double min_seconds)
+/** One row of the figure table. */
+struct Figure
 {
-    const auto bundle = traceApp("sweep3d", config.iterations);
-    auto platform = sim::platforms::defaultCluster();
-    platform.bandwidthMBps = config.bandwidthMBps;
+    const char *bench;
+    /** The gated items-per-second key. */
+    const char *rateKey;
+    const Unit &unit;
+    std::function<Setup(int threads)> setup;
+};
 
-    // M1 measures the replay engine proper: the trace is lowered
-    // once (that stage is M2) and replayed through one reusable
-    // session, exactly how campaigns drive the engine. The warm-up
-    // run pays trace/page-cache setup outside the timing.
-    const auto program = sim::compileShared(bundle.traces);
+/** Keeps the results of compile and transform loops observable. */
+volatile std::size_t sink = 0;
+
+/** A compiled program replayed through one reusable session: how
+ * campaigns drive the engine. */
+struct Replay
+{
+    std::shared_ptr<const sim::ReplayProgram> program;
+    sim::PlatformConfig platform;
     sim::ReplaySession session;
-    const auto warmup = session.run(*program, platform);
-    const std::uint64_t events_per_run = warmup.eventsProcessed;
 
-    std::uint64_t events = 0;
-    std::uint64_t runs = 0;
-    const auto start = std::chrono::steady_clock::now();
-    double elapsed = 0.0;
-    do {
-        const auto result = session.run(*program, platform);
-        events += result.eventsProcessed;
-        ++runs;
-        elapsed = std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - start)
-                      .count();
-    } while (elapsed < min_seconds);
-
-    JsonPoint point;
-    point.config = config.name;
-    point.records = bundle.traces.totalRecords();
-    point.eventsPerRun = events_per_run;
-    point.stats = warmup.stats;
-    point.runs = runs;
-    point.eventsPerSec =
-        static_cast<double>(events) / elapsed;
-    point.nsPerEvent =
-        elapsed * 1e9 / static_cast<double>(events);
-    struct rusage usage{};
-    getrusage(RUSAGE_SELF, &usage);
-    point.peakRssKb = usage.ru_maxrss;
-    return point;
-}
-
-std::string
-pointToJson(const JsonPoint &point)
-{
-    char stamp[32] = "unknown";
-    const std::time_t now = std::time(nullptr);
-    if (std::tm tm_utc{}; gmtime_r(&now, &tm_utc) != nullptr)
-        std::strftime(stamp, sizeof stamp, "%Y-%m-%dT%H:%M:%SZ",
-                      &tm_utc);
-    return strformat(
-        "{\n"
-        "    \"bench\": \"bench_micro.simulatorThroughput\",\n"
-        "    \"config\": \"%s\",\n"
-        "    \"records\": %zu,\n"
-        "    \"events_per_run\": %llu,\n"
-        "    \"runs\": %llu,\n"
-        "    \"events_per_sec\": %.0f,\n"
-        "    \"ns_per_event\": %.2f,\n"
-        "    \"heap_pushes\": %llu,\n"
-        "    \"arena_high_water\": %llu,\n"
-        "    \"peak_rss_kb\": %ld,\n"
-        "    \"timestamp\": \"%s\"\n"
-        "  }",
-        point.config.c_str(), point.records,
-        static_cast<unsigned long long>(point.eventsPerRun),
-        static_cast<unsigned long long>(point.runs),
-        point.eventsPerSec, point.nsPerEvent,
-        static_cast<unsigned long long>(point.stats.heapPushes),
-        static_cast<unsigned long long>(
-            point.stats.arenaHighWater),
-        point.peakRssKb, stamp);
-}
-
-/**
- * The M2 configuration: lower the sweep3d-x8 trace into a
- * ReplayProgram repeatedly. The figure of merit is records compiled
- * per second — the one-time cost every campaign pays per trace
- * variant before the engine replays it, and the whole cost
- * simulate() adds over a pre-compiled replay.
- */
-struct CompileJsonPoint
-{
-    std::string config;
-    std::size_t records = 0;
-    std::uint64_t runs = 0;
-    double recordsPerSec = 0.0;
-    double nsPerRecord = 0.0;
-    long peakRssKb = 0;
+    sim::SimResult run() { return session.run(*program, platform); }
 };
 
-CompileJsonPoint
-measureCompileConfig(double min_seconds)
+/** A replay figure whose last warm-up run was `probe`. */
+Setup
+replaySetup(std::string config, std::size_t records,
+            std::shared_ptr<Replay> replay,
+            const sim::SimResult &probe, Fields tail = {})
 {
-    const auto bundle = traceApp("sweep3d", 8);
-
-    // Warm-up compile (pays page faults outside the timing); the
-    // totalSends sink keeps the loop's programs observable.
-    volatile std::size_t sink =
-        sim::compileTrace(bundle.traces).totalSends();
-
-    std::size_t records = 0;
-    std::uint64_t runs = 0;
-    const auto start = std::chrono::steady_clock::now();
-    double elapsed = 0.0;
-    do {
-        const auto program = sim::compileTrace(bundle.traces);
-        sink = program.totalSends();
-        records += program.totalOps();
-        ++runs;
-        elapsed = std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - start)
-                      .count();
-    } while (elapsed < min_seconds);
-    (void)sink;
-
-    CompileJsonPoint point;
-    point.config = "sweep3d-x8/compile";
-    point.records = bundle.traces.totalRecords();
-    point.runs = runs;
-    point.recordsPerSec =
-        static_cast<double>(records) / elapsed;
-    point.nsPerRecord =
-        elapsed * 1e9 / static_cast<double>(records);
-    struct rusage usage{};
-    getrusage(RUSAGE_SELF, &usage);
-    point.peakRssKb = usage.ru_maxrss;
-    return point;
+    Setup setup;
+    setup.config = std::move(config);
+    setup.head = {{"records", count(records)},
+                  {"events_per_run", count(probe.eventsProcessed)}};
+    setup.work = [replay] { return replay->run().eventsProcessed; };
+    setup.tail = [tail] { return tail; };
+    return setup;
 }
 
-std::string
-compilePointToJson(const CompileJsonPoint &point)
+std::shared_ptr<Replay>
+replayOf(const trace::TraceSet &traces,
+         const sim::PlatformConfig &platform)
 {
-    char stamp[32] = "unknown";
-    const std::time_t now = std::time(nullptr);
-    if (std::tm tm_utc{}; gmtime_r(&now, &tm_utc) != nullptr)
-        std::strftime(stamp, sizeof stamp, "%Y-%m-%dT%H:%M:%SZ",
-                      &tm_utc);
-    return strformat(
-        "{\n"
-        "    \"bench\": \"bench_micro.programCompile\",\n"
-        "    \"config\": \"%s\",\n"
-        "    \"records\": %zu,\n"
-        "    \"runs\": %llu,\n"
-        "    \"compile_records_per_sec\": %.0f,\n"
-        "    \"ns_per_record\": %.2f,\n"
-        "    \"peak_rss_kb\": %ld,\n"
-        "    \"timestamp\": \"%s\"\n"
-        "  }",
-        point.config.c_str(), point.records,
-        static_cast<unsigned long long>(point.runs),
-        point.recordsPerSec, point.nsPerRecord, point.peakRssKb,
-        stamp);
+    auto replay = std::make_shared<Replay>();
+    replay->program = sim::compileShared(traces);
+    replay->platform = platform;
+    return replay;
 }
 
-/**
- * The M3 configuration: rebuild the standard real-pattern
- * overlapped variant of the sweep3d-x8 trace repeatedly. The figure
- * of merit is source records transformed per second — with replay
- * compiled and programs shared, buildOverlappedTrace is the
- * dominant per-variant setup cost a campaign pays (ROADMAP Open
- * items), so the trajectory tracks it next to M2.
- */
-struct TransformJsonPoint
+sim::PlatformConfig
+flatBus4096()
 {
-    std::string config;
-    std::size_t records = 0;
-    std::uint64_t runs = 0;
-    double recordsPerSec = 0.0;
-    double nsPerRecord = 0.0;
-    long peakRssKb = 0;
-};
+    auto platform = sim::platforms::defaultCluster();
+    platform.bandwidthMBps = 4096.0;
+    return platform;
+}
 
-TransformJsonPoint
-measureTransformConfig(double min_seconds)
+/** The 2:1-per-level tapered fat tree, the congested fabric the
+ * topology campaigns sweep. */
+sim::PlatformConfig
+taperedFatTree4096()
 {
-    const auto bundle = traceApp("sweep3d", 8);
+    auto platform = flatBus4096();
+    platform.topology = net::topologies::taperedFatTree(4, 0.5);
+    return platform;
+}
+
+/** The standard real-pattern 16-chunk overlap variant. */
+core::TransformConfig
+real16()
+{
     core::TransformConfig config;
     config.pattern = core::PatternModel::real;
     config.mechanism = core::Mechanism::both;
     config.chunks = 16;
-
-    // Warm-up build outside the timing; the chunk sink keeps the
-    // loop's results observable.
-    volatile std::size_t sink =
-        core::buildOverlappedTrace(bundle.traces, bundle.overlap,
-                                   config)
-            .totalChunks;
-
-    std::size_t records = 0;
-    std::uint64_t runs = 0;
-    const auto start = std::chrono::steady_clock::now();
-    double elapsed = 0.0;
-    do {
-        const auto result = core::buildOverlappedTrace(
-            bundle.traces, bundle.overlap, config);
-        sink = result.totalChunks;
-        records += bundle.traces.totalRecords();
-        ++runs;
-        elapsed = std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - start)
-                      .count();
-    } while (elapsed < min_seconds);
-    (void)sink;
-
-    TransformJsonPoint point;
-    point.config = "sweep3d-x8/transform-real16";
-    point.records = bundle.traces.totalRecords();
-    point.runs = runs;
-    point.recordsPerSec = static_cast<double>(records) / elapsed;
-    point.nsPerRecord =
-        elapsed * 1e9 / static_cast<double>(records);
-    struct rusage usage{};
-    getrusage(RUSAGE_SELF, &usage);
-    point.peakRssKb = usage.ru_maxrss;
-    return point;
+    return config;
 }
 
-std::string
-transformPointToJson(const TransformJsonPoint &point)
-{
-    char stamp[32] = "unknown";
-    const std::time_t now = std::time(nullptr);
-    if (std::tm tm_utc{}; gmtime_r(&now, &tm_utc) != nullptr)
-        std::strftime(stamp, sizeof stamp, "%Y-%m-%dT%H:%M:%SZ",
-                      &tm_utc);
-    return strformat(
-        "{\n"
-        "    \"bench\": \"bench_micro.transformThroughput\",\n"
-        "    \"config\": \"%s\",\n"
-        "    \"records\": %zu,\n"
-        "    \"runs\": %llu,\n"
-        "    \"transform_records_per_sec\": %.0f,\n"
-        "    \"ns_per_record\": %.2f,\n"
-        "    \"peak_rss_kb\": %ld,\n"
-        "    \"timestamp\": \"%s\"\n"
-        "  }",
-        point.config.c_str(), point.records,
-        static_cast<unsigned long long>(point.runs),
-        point.recordsPerSec, point.nsPerRecord, point.peakRssKb,
-        stamp);
-}
+/** The figure table, in trajectory order. */
+const Figure figures[] = {
+    // M1: the replay engine proper on the original trace; lowering
+    // is M2's.
+    {"bench_micro.simulatorThroughput", "events_per_sec", events,
+     [](int) {
+         const auto bundle = traceApp("sweep3d", 64);
+         auto replay = replayOf(bundle.traces, flatBus4096());
+         const auto warmup = replay->run();
+         return replaySetup(
+             "sweep3d-x64/bw4096", bundle.traces.totalRecords(),
+             replay, warmup,
+             {{"heap_pushes", count(warmup.stats.heapPushes)},
+              {"arena_high_water",
+               count(warmup.stats.arenaHighWater)}});
+     }},
+    // M2: lowering a trace into a ReplayProgram, the one-time cost
+    // a campaign pays per variant and all simulate() adds over a
+    // pre-compiled replay.
+    {"bench_micro.programCompile", "compile_records_per_sec", records,
+     [](int) {
+         auto bundle = std::make_shared<const tracer::TraceBundle>(
+             traceApp("sweep3d", 8));
+         sink = sim::compileTrace(bundle->traces).totalSends();
+         Setup setup;
+         setup.config = "sweep3d-x8/compile";
+         setup.head = {
+             {"records", count(bundle->traces.totalRecords())}};
+         setup.work = [bundle]() -> std::uint64_t {
+             const auto program = sim::compileTrace(bundle->traces);
+             sink = program.totalSends();
+             return program.totalOps();
+         };
+         return setup;
+     }},
+    // M3: building the overlapped variant, the dominant per-variant
+    // setup cost of a sweep.
+    {"bench_micro.transformThroughput", "transform_records_per_sec",
+     records,
+     [](int) {
+         auto bundle = std::make_shared<const tracer::TraceBundle>(
+             traceApp("sweep3d", 8));
+         sink = core::buildOverlappedTrace(bundle->traces,
+                                           bundle->overlap, real16())
+                    .totalChunks;
+         Setup setup;
+         setup.config = "sweep3d-x8/transform-real16";
+         setup.head = {
+             {"records", count(bundle->traces.totalRecords())}};
+         setup.work = [bundle]() -> std::uint64_t {
+             const auto result = core::buildOverlappedTrace(
+                 bundle->traces, bundle->overlap, real16());
+             sink = result.totalChunks;
+             return bundle->traces.totalRecords();
+         };
+         return setup;
+     }},
+    // M4: campaign throughput, an R1 bandwidth sweep (original +
+    // the two standard variants per point) on the parallel runtime;
+    // it scales with cores.
+    {"bench_micro.sweepThroughput", "sweep_points_per_sec", points,
+     [](int threads) {
+         auto bundle = std::make_shared<const tracer::TraceBundle>(
+             traceApp("sweep3d", 8));
+         const auto platform = sim::platforms::defaultCluster();
+         const auto grid = core::logBandwidthGrid(1.0, 65536.0, 4);
+         const auto variants = core::standardVariants(16);
+         core::bandwidthSweep(*bundle, platform, grid, variants,
+                              threads);
+         Setup setup;
+         setup.config = strformat("sweep3d-x8/grid%zux%zu",
+                                  grid.size(), variants.size() + 1);
+         setup.head = {{"threads", count(threads)},
+                       {"grid_points", count(grid.size())}};
+         setup.work = [=]() -> std::uint64_t {
+             const auto sweep = core::bandwidthSweep(
+                 *bundle, platform, grid, variants, threads);
+             if (sweep.points.size() != grid.size())
+                 std::abort(); // keep the replays observable
+             return grid.size();
+         };
+         return setup;
+     }},
+    // M5: M1's workload (x8) through per-link contention; the gap to
+    // M1 is the price of contention.
+    {"bench_micro.topologyReplay", "topo_events_per_sec", events,
+     [](int) {
+         const auto bundle = traceApp("sweep3d", 8);
+         auto replay = replayOf(bundle.traces, taperedFatTree4096());
+         const auto warmup = replay->run();
+         auto setup = replaySetup(
+             "sweep3d-x8/fat-tree-taper2/bw4096",
+             bundle.traces.totalRecords(), replay, warmup);
+         setup.tail = [stats = warmup.stats] {
+             return Fields{
+                 {"rate_recomputes", count(stats.rateRecomputes)},
+                 {"recomputes_skipped",
+                  count(stats.recomputesSkipped)},
+                 {"topo_cache_hit_rate",
+                  strformat("%.4f",
+                            obs::cacheReport()[1].hitRate())}};
+         };
+         return setup;
+     }},
+    // M6: the collective-heavy proxy with collectives lowered into
+    // point-to-point schedules contending on M5's fabric.
+    {"bench_micro.collectiveReplay", "coll_events_per_sec", events,
+     [](int) {
+         const auto bundle = traceApp("nas-cg", 8);
+         auto platform = taperedFatTree4096();
+         platform.collectiveModel = coll::CollectiveModel::algorithmic;
+         auto replay = replayOf(bundle.traces, platform);
+         const auto warmup = replay->run();
+         auto setup = replaySetup(
+             "nas-cg-x8/fat-tree-taper2/algorithmic/bw4096",
+             bundle.traces.totalRecords(), replay, warmup);
+         setup.tail = [stats = warmup.stats] {
+             return Fields{
+                 {"coll_steps", count(stats.collSteps)},
+                 {"sched_cache_hit_rate",
+                  strformat("%.4f",
+                            obs::cacheReport()[2].hitRate())}};
+         };
+         return setup;
+     }},
+    // M7: M5 while the whole fabric runs at quarter rate (doubled
+    // latency) over the middle half of the run: the scenario seam.
+    {"bench_micro.scenarioReplay", "scen_events_per_sec", events,
+     [](int) {
+         const auto bundle = traceApp("sweep3d", 8);
+         auto replay = replayOf(bundle.traces, taperedFatTree4096());
+         const SimTime nominal = replay->run().totalTime;
 
-/**
- * The M5 configuration: replay the sweep3d-x8 trace through the
- * link-contention network model on a 2:1-per-level tapered fat
- * tree (the congested-fabric scenario topology campaigns sweep).
- * The figure of merit is events per second — directly comparable
- * to M1's flat-bus figure, so the trajectory shows the cost of
- * per-link contention on the same workload. The program is lowered
- * once and the session's compiled-topology cache is hot after the
- * warm-up run, matching how topologySweep drives the engine.
- */
-struct TopoJsonPoint
-{
-    std::string config;
-    std::size_t records = 0;
-    std::uint64_t eventsPerRun = 0;
-    std::uint64_t runs = 0;
-    double eventsPerSec = 0.0;
-    double nsPerEvent = 0.0;
-    long peakRssKb = 0;
-    /** Per-run engine counters (deterministic across runs). */
-    obs::EngineStats stats;
-    /** Process-wide compiled-topology cache hit rate so far. */
-    double topoCacheHitRate = 0.0;
+         scen::ScenarioEvent degrade;
+         degrade.time = SimTime::fromNs(nominal.ns() / 4);
+         degrade.kind = scen::ScenEventKind::degrade;
+         degrade.target = scen::ScenTarget::all;
+         degrade.bandwidthFactor = 0.25;
+         degrade.latencyFactor = 2.0;
+         replay->platform.scenario.events.push_back(degrade);
+         scen::ScenarioEvent recover;
+         recover.time = SimTime::fromNs(3 * (nominal.ns() / 4));
+         recover.kind = scen::ScenEventKind::recover;
+         recover.target = scen::ScenTarget::all;
+         replay->platform.scenario.events.push_back(recover);
+
+         return replaySetup(
+             "sweep3d-x8/fat-tree-taper2/mid-degrade/bw4096",
+             bundle.traces.totalRecords(), replay, replay->run());
+     }},
+    // M8: M7's workload surviving seeded per-node fail-stops with
+    // checkpointing: every run pays checkpoint freezes and at least
+    // one rollback.
+    {"bench_micro.resilienceReplay", "res_events_per_sec", events,
+     [](int) {
+         const auto bundle = traceApp("sweep3d", 8);
+         auto replay = replayOf(bundle.traces, taperedFatTree4096());
+         const SimTime nominal = replay->run().totalTime;
+
+         // Checkpoint five times per nominal run; a per-node MTBF
+         // equal to the run length makes an 8-node machine
+         // essentially certain to fail at least once.
+         auto &platform = replay->platform;
+         platform.checkpointIntervalUs = nominal.toUs() / 5.0;
+         platform.checkpointCostUs = nominal.toUs() / 200.0;
+         platform.restartCostUs = nominal.toUs() / 50.0;
+         platform.scenario = res::generateScenario(
+             res::nodeFailStopModel(8, nominal.toUs()), 1,
+             nominal * 4);
+
+         const auto probe = replay->run();
+         if (probe.restarts == 0)
+             std::abort(); // the rollback path must be on the clock
+         auto setup = replaySetup(
+             "sweep3d-x8/fat-tree-taper2/fail-stop-ckpt/bw4096",
+             bundle.traces.totalRecords(), replay, probe,
+             {{"scenario_events", count(probe.stats.scenarioEvents)},
+              {"rollback_rework_ns",
+               count(probe.stats.rollbackReworkNs)}});
+         setup.head.emplace_back("restarts_per_run",
+                                 count(probe.restarts));
+         return setup;
+     }},
+    // M9: what a scaling campaign pays per grid point — generate a
+    // 1024-rank ML-training loop, lower it and replay it on M5's
+    // fabric. Allreduce is pinned to recursive doubling: `auto`
+    // picks the ring above coll::ringCutoffBytes, an O(N)-transfer
+    // chain at 1024 ranks that would swamp the figure.
+    {"bench_micro.generatedReplay", "gen_events_per_sec", events,
+     [](int) {
+         gen::WorkloadConfig workload;
+         workload.kind = gen::WorkloadKind::mlTraining;
+         workload.name = "gen-ml";
+         workload.ranks = 1024;
+         workload.iterations = 2;
+         workload.gradientBuckets = 4;
+         workload.gradientBytes = Bytes(64) * 1024 * 1024;
+         workload.stepInstr = 50'000'000;
+
+         auto platform = taperedFatTree4096();
+         platform.collectiveModel = coll::CollectiveModel::algorithmic;
+         platform.collectiveAlgorithms.set(
+             trace::CollOp::allReduce,
+             coll::Algorithm::recursiveDoubling);
+
+         auto session = std::make_shared<sim::ReplaySession>();
+         const auto probe_traces = gen::generateTrace(workload, 1);
+         const auto probe = session->run(
+             sim::compileTrace(probe_traces), platform);
+
+         Setup setup;
+         setup.config = "gen-ml-1024/fat-tree-taper2/rd-allreduce/bw4096";
+         setup.head = {
+             {"records", count(probe_traces.totalRecords())},
+             {"events_per_run", count(probe.eventsProcessed)}};
+         setup.work = [=]() -> std::uint64_t {
+             const auto traces = gen::generateTrace(workload, 1);
+             const auto program = sim::compileTrace(traces);
+             return session->run(program, platform).eventsProcessed;
+         };
+         setup.tail = [high = probe.stats.arenaHighWater] {
+             return Fields{{"arena_high_water", count(high)}};
+         };
+         return setup;
+     }},
+    // M10: the 16-chunk real variant (M3's output) on M1's flat bus:
+    // the replays that make up nearly all of an R1 sweep, and the
+    // ones whose wait queue is deep.
+    {"bench_micro.variantReplay", "variant_events_per_sec", events,
+     [](int) {
+         const auto bundle = traceApp("sweep3d", 8);
+         const auto variant = core::buildOverlappedTrace(
+             bundle.traces, bundle.overlap, real16());
+         auto replay = replayOf(variant.traces, flatBus4096());
+         const auto warmup = replay->run();
+         return replaySetup(
+             "sweep3d-x8/overlap-real16/bw4096",
+             variant.traces.totalRecords(), replay, warmup,
+             {{"wait_scan_steps", count(warmup.stats.waitScanSteps)},
+              {"wait_queue_max_depth",
+               count(warmup.stats.waitQueueMaxDepth)}});
+     }},
 };
 
-TopoJsonPoint
-measureTopoConfig(double min_seconds)
+/** One figure's measurement. */
+struct Point
 {
-    const auto bundle = traceApp("sweep3d", 8);
-    auto platform = sim::platforms::defaultCluster();
-    platform.bandwidthMBps = 4096.0;
-    platform.topology = net::topologies::taperedFatTree(4, 0.5);
-
-    const auto program = sim::compileShared(bundle.traces);
-    sim::ReplaySession session;
-    const auto warmup = session.run(*program, platform);
-    const std::uint64_t events_per_run = warmup.eventsProcessed;
-
-    std::uint64_t events = 0;
-    std::uint64_t runs = 0;
-    const auto start = std::chrono::steady_clock::now();
-    double elapsed = 0.0;
-    do {
-        const auto result = session.run(*program, platform);
-        events += result.eventsProcessed;
-        ++runs;
-        elapsed = std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - start)
-                      .count();
-    } while (elapsed < min_seconds);
-
-    TopoJsonPoint point;
-    point.config = "sweep3d-x8/fat-tree-taper2/bw4096";
-    point.records = bundle.traces.totalRecords();
-    point.eventsPerRun = events_per_run;
-    point.stats = warmup.stats;
-    point.topoCacheHitRate = obs::cacheReport()[1].hitRate();
-    point.runs = runs;
-    point.eventsPerSec = static_cast<double>(events) / elapsed;
-    point.nsPerEvent =
-        elapsed * 1e9 / static_cast<double>(events);
-    struct rusage usage{};
-    getrusage(RUSAGE_SELF, &usage);
-    point.peakRssKb = usage.ru_maxrss;
-    return point;
-}
-
-std::string
-topoPointToJson(const TopoJsonPoint &point)
-{
-    char stamp[32] = "unknown";
-    const std::time_t now = std::time(nullptr);
-    if (std::tm tm_utc{}; gmtime_r(&now, &tm_utc) != nullptr)
-        std::strftime(stamp, sizeof stamp, "%Y-%m-%dT%H:%M:%SZ",
-                      &tm_utc);
-    return strformat(
-        "{\n"
-        "    \"bench\": \"bench_micro.topologyReplay\",\n"
-        "    \"config\": \"%s\",\n"
-        "    \"records\": %zu,\n"
-        "    \"events_per_run\": %llu,\n"
-        "    \"runs\": %llu,\n"
-        "    \"topo_events_per_sec\": %.0f,\n"
-        "    \"ns_per_event\": %.2f,\n"
-        "    \"rate_recomputes\": %llu,\n"
-        "    \"recomputes_skipped\": %llu,\n"
-        "    \"topo_cache_hit_rate\": %.4f,\n"
-        "    \"peak_rss_kb\": %ld,\n"
-        "    \"timestamp\": \"%s\"\n"
-        "  }",
-        point.config.c_str(), point.records,
-        static_cast<unsigned long long>(point.eventsPerRun),
-        static_cast<unsigned long long>(point.runs),
-        point.eventsPerSec, point.nsPerEvent,
-        static_cast<unsigned long long>(
-            point.stats.rateRecomputes),
-        static_cast<unsigned long long>(
-            point.stats.recomputesSkipped),
-        point.topoCacheHitRate, point.peakRssKb, stamp);
-}
-
-/**
- * The M6 configuration: replay the nas-cg-x8 trace — the
- * collective-heavy proxy — with algorithmic collectives on the
- * 2:1-per-level tapered fat tree. Every allreduce lowers into its
- * compiled point-to-point schedule (src/coll/) and contends on the
- * fabric's links next to the transpose-exchange traffic, so the
- * figure prices the schedule-execution seam plus the extra
- * contention events, directly comparable to M5's analytic-collective
- * contended replay. Schedules resolve once per session (and shape
- * compiles once per process), matching how collectiveSweep drives
- * the engine.
- */
-struct CollJsonPoint
-{
+    const Figure *figure = nullptr;
     std::string config;
-    std::size_t records = 0;
-    std::uint64_t eventsPerRun = 0;
+    Fields head;
     std::uint64_t runs = 0;
-    double eventsPerSec = 0.0;
-    double nsPerEvent = 0.0;
-    long peakRssKb = 0;
-    /** Per-run engine counters (deterministic across runs). */
-    obs::EngineStats stats;
-    /** Process-wide collective-schedule cache hit rate so far. */
-    double schedCacheHitRate = 0.0;
-};
-
-CollJsonPoint
-measureCollConfig(double min_seconds)
-{
-    const auto bundle = traceApp("nas-cg", 8);
-    auto platform = sim::platforms::defaultCluster();
-    platform.bandwidthMBps = 4096.0;
-    platform.topology = net::topologies::taperedFatTree(4, 0.5);
-    platform.collectiveModel = coll::CollectiveModel::algorithmic;
-
-    const auto program = sim::compileShared(bundle.traces);
-    sim::ReplaySession session;
-    const auto warmup = session.run(*program, platform);
-    const std::uint64_t events_per_run = warmup.eventsProcessed;
-
-    std::uint64_t events = 0;
-    std::uint64_t runs = 0;
-    const auto start = std::chrono::steady_clock::now();
+    std::uint64_t items = 0;
     double elapsed = 0.0;
-    do {
-        const auto result = session.run(*program, platform);
-        events += result.eventsProcessed;
-        ++runs;
-        elapsed = std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - start)
-                      .count();
-    } while (elapsed < min_seconds);
-
-    CollJsonPoint point;
-    point.config = "nas-cg-x8/fat-tree-taper2/algorithmic/bw4096";
-    point.records = bundle.traces.totalRecords();
-    point.eventsPerRun = events_per_run;
-    point.stats = warmup.stats;
-    point.schedCacheHitRate = obs::cacheReport()[2].hitRate();
-    point.runs = runs;
-    point.eventsPerSec = static_cast<double>(events) / elapsed;
-    point.nsPerEvent =
-        elapsed * 1e9 / static_cast<double>(events);
-    struct rusage usage{};
-    getrusage(RUSAGE_SELF, &usage);
-    point.peakRssKb = usage.ru_maxrss;
-    return point;
-}
-
-std::string
-collPointToJson(const CollJsonPoint &point)
-{
-    char stamp[32] = "unknown";
-    const std::time_t now = std::time(nullptr);
-    if (std::tm tm_utc{}; gmtime_r(&now, &tm_utc) != nullptr)
-        std::strftime(stamp, sizeof stamp, "%Y-%m-%dT%H:%M:%SZ",
-                      &tm_utc);
-    return strformat(
-        "{\n"
-        "    \"bench\": \"bench_micro.collectiveReplay\",\n"
-        "    \"config\": \"%s\",\n"
-        "    \"records\": %zu,\n"
-        "    \"events_per_run\": %llu,\n"
-        "    \"runs\": %llu,\n"
-        "    \"coll_events_per_sec\": %.0f,\n"
-        "    \"ns_per_event\": %.2f,\n"
-        "    \"coll_steps\": %llu,\n"
-        "    \"sched_cache_hit_rate\": %.4f,\n"
-        "    \"peak_rss_kb\": %ld,\n"
-        "    \"timestamp\": \"%s\"\n"
-        "  }",
-        point.config.c_str(), point.records,
-        static_cast<unsigned long long>(point.eventsPerRun),
-        static_cast<unsigned long long>(point.runs),
-        point.eventsPerSec, point.nsPerEvent,
-        static_cast<unsigned long long>(point.stats.collSteps),
-        point.schedCacheHitRate, point.peakRssKb, stamp);
-}
-
-/**
- * The M7 configuration: the M5 contended replay with a dynamic
- * scenario installed — the whole fabric degrades to quarter
- * capacity (and doubled per-hop latency) over the middle half of
- * the run and recovers, so every replay pays the scenario seam:
- * per-link scale commits, frozen-finish re-arms and the flat/net
- * cost-path multiplier checks (src/scen/). The figure is directly
- * comparable to M5's scenario-free events/sec on the same workload
- * and fabric, so the trajectory prices what fault injection costs
- * the engine. The window is scaled once from a nominal warm-up
- * run, matching how degradation campaigns build their scenarios.
- */
-struct ScenJsonPoint
-{
-    std::string config;
-    std::size_t records = 0;
-    std::uint64_t eventsPerRun = 0;
-    std::uint64_t runs = 0;
-    double eventsPerSec = 0.0;
-    double nsPerEvent = 0.0;
+    Fields tail;
+    /** Process-wide ru_maxrss high-water mark after this figure:
+     * cumulative over the figures measured before it. */
     long peakRssKb = 0;
-};
 
-ScenJsonPoint
-measureScenConfig(double min_seconds)
-{
-    const auto bundle = traceApp("sweep3d", 8);
-    auto platform = sim::platforms::defaultCluster();
-    platform.bandwidthMBps = 4096.0;
-    platform.topology = net::topologies::taperedFatTree(4, 0.5);
+    double rate() const { return static_cast<double>(items) / elapsed; }
 
-    const auto program = sim::compileShared(bundle.traces);
-    sim::ReplaySession session;
-    const SimTime nominal =
-        session.run(*program, platform).totalTime;
-
-    scen::ScenarioEvent degrade;
-    degrade.time = SimTime::fromNs(nominal.ns() / 4);
-    degrade.kind = scen::ScenEventKind::degrade;
-    degrade.target = scen::ScenTarget::all;
-    degrade.bandwidthFactor = 0.25;
-    degrade.latencyFactor = 2.0;
-    platform.scenario.events.push_back(degrade);
-    scen::ScenarioEvent recover;
-    recover.time = SimTime::fromNs(3 * (nominal.ns() / 4));
-    recover.kind = scen::ScenEventKind::recover;
-    recover.target = scen::ScenTarget::all;
-    platform.scenario.events.push_back(recover);
-
-    const std::uint64_t events_per_run =
-        session.run(*program, platform).eventsProcessed;
-
-    std::uint64_t events = 0;
-    std::uint64_t runs = 0;
-    const auto start = std::chrono::steady_clock::now();
-    double elapsed = 0.0;
-    do {
-        const auto result = session.run(*program, platform);
-        events += result.eventsProcessed;
-        ++runs;
-        elapsed = std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - start)
-                      .count();
-    } while (elapsed < min_seconds);
-
-    ScenJsonPoint point;
-    point.config = "sweep3d-x8/fat-tree-taper2/mid-degrade/bw4096";
-    point.records = bundle.traces.totalRecords();
-    point.eventsPerRun = events_per_run;
-    point.runs = runs;
-    point.eventsPerSec = static_cast<double>(events) / elapsed;
-    point.nsPerEvent =
-        elapsed * 1e9 / static_cast<double>(events);
-    struct rusage usage{};
-    getrusage(RUSAGE_SELF, &usage);
-    point.peakRssKb = usage.ru_maxrss;
-    return point;
-}
-
-std::string
-scenPointToJson(const ScenJsonPoint &point)
-{
-    char stamp[32] = "unknown";
-    const std::time_t now = std::time(nullptr);
-    if (std::tm tm_utc{}; gmtime_r(&now, &tm_utc) != nullptr)
-        std::strftime(stamp, sizeof stamp, "%Y-%m-%dT%H:%M:%SZ",
-                      &tm_utc);
-    return strformat(
-        "{\n"
-        "    \"bench\": \"bench_micro.scenarioReplay\",\n"
-        "    \"config\": \"%s\",\n"
-        "    \"records\": %zu,\n"
-        "    \"events_per_run\": %llu,\n"
-        "    \"runs\": %llu,\n"
-        "    \"scen_events_per_sec\": %.0f,\n"
-        "    \"ns_per_event\": %.2f,\n"
-        "    \"peak_rss_kb\": %ld,\n"
-        "    \"timestamp\": \"%s\"\n"
-        "  }",
-        point.config.c_str(), point.records,
-        static_cast<unsigned long long>(point.eventsPerRun),
-        static_cast<unsigned long long>(point.runs),
-        point.eventsPerSec, point.nsPerEvent, point.peakRssKb,
-        stamp);
-}
-
-/**
- * The M8 configuration: the M7 workload and fabric under the
- * resilience engine (src/res/) — a seeded per-node fail-stop fault
- * model expanded into a scenario, a checkpoint/restart cost model
- * on the platform, and at least one rollback per replay. Every run
- * pays checkpoint freezes (heap shift + machine snapshot) and a
- * restart (cancel in-flight flows, restore the snapshot, rebuild
- * the heap), so the figure prices what surviving failures costs
- * the engine next to M7's terminate-on-failure scenario seam.
- */
-struct ResJsonPoint
-{
-    std::string config;
-    std::size_t records = 0;
-    std::uint64_t eventsPerRun = 0;
-    std::uint64_t restartsPerRun = 0;
-    std::uint64_t runs = 0;
-    double eventsPerSec = 0.0;
-    double nsPerEvent = 0.0;
-    long peakRssKb = 0;
-    /** Per-run engine counters (deterministic across runs). */
-    obs::EngineStats stats;
-};
-
-ResJsonPoint
-measureResConfig(double min_seconds)
-{
-    const auto bundle = traceApp("sweep3d", 8);
-    auto platform = sim::platforms::defaultCluster();
-    platform.bandwidthMBps = 4096.0;
-    platform.topology = net::topologies::taperedFatTree(4, 0.5);
-
-    const auto program = sim::compileShared(bundle.traces);
-    sim::ReplaySession session;
-    const SimTime nominal =
-        session.run(*program, platform).totalTime;
-
-    // Checkpoint five times per nominal run; a per-node MTBF equal
-    // to the run length makes an 8-node machine essentially certain
-    // to fail at least once, so the rollback path is always paid.
-    platform.checkpointIntervalUs = nominal.toUs() / 5.0;
-    platform.checkpointCostUs = nominal.toUs() / 200.0;
-    platform.restartCostUs = nominal.toUs() / 50.0;
-    res::FaultModel model;
-    for (int n = 0; n < 8; ++n) {
-        res::FaultProcess proc;
-        proc.target = scen::ScenTarget::node;
-        proc.nodeA = n;
-        proc.effect = res::FaultEffect::failStop;
-        proc.mtbfUs = nominal.toUs();
-        model.processes.push_back(proc);
+    double
+    cost() const
+    {
+        return elapsed * figure->unit.costScale /
+            static_cast<double>(items);
     }
-    platform.scenario =
-        res::generateScenario(model, 1, nominal * 4);
-
-    const auto probe = session.run(*program, platform);
-    if (probe.restarts == 0)
-        std::abort(); // the rollback path must be on the clock
-
-    std::uint64_t events = 0;
-    std::uint64_t runs = 0;
-    const auto start = std::chrono::steady_clock::now();
-    double elapsed = 0.0;
-    do {
-        const auto result = session.run(*program, platform);
-        events += result.eventsProcessed;
-        ++runs;
-        elapsed = std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - start)
-                      .count();
-    } while (elapsed < min_seconds);
-
-    ResJsonPoint point;
-    point.config =
-        "sweep3d-x8/fat-tree-taper2/fail-stop-ckpt/bw4096";
-    point.records = bundle.traces.totalRecords();
-    point.eventsPerRun = probe.eventsProcessed;
-    point.restartsPerRun = probe.restarts;
-    point.stats = probe.stats;
-    point.runs = runs;
-    point.eventsPerSec = static_cast<double>(events) / elapsed;
-    point.nsPerEvent =
-        elapsed * 1e9 / static_cast<double>(events);
-    struct rusage usage{};
-    getrusage(RUSAGE_SELF, &usage);
-    point.peakRssKb = usage.ru_maxrss;
-    return point;
-}
-
-std::string
-resPointToJson(const ResJsonPoint &point)
-{
-    char stamp[32] = "unknown";
-    const std::time_t now = std::time(nullptr);
-    if (std::tm tm_utc{}; gmtime_r(&now, &tm_utc) != nullptr)
-        std::strftime(stamp, sizeof stamp, "%Y-%m-%dT%H:%M:%SZ",
-                      &tm_utc);
-    return strformat(
-        "{\n"
-        "    \"bench\": \"bench_micro.resilienceReplay\",\n"
-        "    \"config\": \"%s\",\n"
-        "    \"records\": %zu,\n"
-        "    \"events_per_run\": %llu,\n"
-        "    \"restarts_per_run\": %llu,\n"
-        "    \"runs\": %llu,\n"
-        "    \"res_events_per_sec\": %.0f,\n"
-        "    \"ns_per_event\": %.2f,\n"
-        "    \"scenario_events\": %llu,\n"
-        "    \"rollback_rework_ns\": %llu,\n"
-        "    \"peak_rss_kb\": %ld,\n"
-        "    \"timestamp\": \"%s\"\n"
-        "  }",
-        point.config.c_str(), point.records,
-        static_cast<unsigned long long>(point.eventsPerRun),
-        static_cast<unsigned long long>(point.restartsPerRun),
-        static_cast<unsigned long long>(point.runs),
-        point.eventsPerSec, point.nsPerEvent,
-        static_cast<unsigned long long>(
-            point.stats.scenarioEvents),
-        static_cast<unsigned long long>(
-            point.stats.rollbackReworkNs),
-        point.peakRssKb, stamp);
-}
-
-/**
- * The M9 configuration: the full synthetic-workload path at a
- * scale no recorded trace reaches — a 1024-rank ML-training loop
- * (two steps, four gradient buckets of a 64 MiB gradient) is
- * generated from src/gen/, lowered by sim::compileTrace, and
- * replayed on the tapered fat tree with algorithmic collectives.
- * Every timed run pays generation + lowering + contended replay,
- * pricing exactly what a scaling campaign pays per grid point.
- * The allreduce algorithm is pinned to recursive doubling: `auto`
- * switches to the ring above coll::ringCutoffBytes, which at 1024
- * ranks turns every allreduce into an O(N)-transfer chain and
- * would swamp the figure with a pathological schedule.
- */
-struct GenJsonPoint
-{
-    std::string config;
-    std::size_t records = 0;
-    std::uint64_t eventsPerRun = 0;
-    std::uint64_t runs = 0;
-    double eventsPerSec = 0.0;
-    double nsPerEvent = 0.0;
-    long peakRssKb = 0;
-    /** Per-run engine counters (deterministic across runs). */
-    obs::EngineStats stats;
 };
 
-GenJsonPoint
-measureGenConfig(double min_seconds)
+Point
+measure(const Figure &figure, int threads)
 {
-    gen::WorkloadConfig workload;
-    workload.kind = gen::WorkloadKind::mlTraining;
-    workload.name = "gen-ml";
-    workload.ranks = 1024;
-    workload.iterations = 2;
-    workload.gradientBuckets = 4;
-    workload.gradientBytes = Bytes(64) * 1024 * 1024;
-    workload.stepInstr = 50'000'000;
-
-    auto platform = sim::platforms::defaultCluster();
-    platform.bandwidthMBps = 4096.0;
-    platform.topology = net::topologies::taperedFatTree(4, 0.5);
-    platform.collectiveModel =
-        coll::CollectiveModel::algorithmic;
-    platform.collectiveAlgorithms.set(
-        trace::CollOp::allReduce,
-        coll::Algorithm::recursiveDoubling);
-
-    sim::ReplaySession session;
-    // Warm-up run: pages in the fabric's compiled routes and the
-    // session arenas outside the timing.
-    const auto probeTraces = gen::generateTrace(workload, 1);
-    const auto probe =
-        session.run(sim::compileTrace(probeTraces), platform);
-
-    std::uint64_t events = 0;
-    std::uint64_t runs = 0;
+    // The setup and everything it holds die with this call, before
+    // the next figure is set up.
+    const Setup setup = figure.setup(threads);
+    Point point;
+    point.figure = &figure;
+    point.config = setup.config;
+    point.head = setup.head;
     const auto start = std::chrono::steady_clock::now();
-    double elapsed = 0.0;
     do {
-        const auto traces = gen::generateTrace(workload, 1);
-        const auto program = sim::compileTrace(traces);
-        events += session.run(program, platform).eventsProcessed;
-        ++runs;
-        elapsed = std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - start)
-                      .count();
-    } while (elapsed < min_seconds);
-
-    GenJsonPoint point;
-    point.config =
-        "gen-ml-1024/fat-tree-taper2/rd-allreduce/bw4096";
-    point.records = probeTraces.totalRecords();
-    point.eventsPerRun = probe.eventsProcessed;
-    point.stats = probe.stats;
-    point.runs = runs;
-    point.eventsPerSec = static_cast<double>(events) / elapsed;
-    point.nsPerEvent =
-        elapsed * 1e9 / static_cast<double>(events);
+        point.items += setup.work();
+        ++point.runs;
+        point.elapsed = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - start)
+                            .count();
+    } while (point.elapsed < 1.5);
+    point.tail = setup.tail();
     struct rusage usage{};
     getrusage(RUSAGE_SELF, &usage);
     point.peakRssKb = usage.ru_maxrss;
+
+    const Unit &unit = figure.unit;
+    std::printf("%-46s %14.2f %s/s  %.*f %s  (%llu %s, rss %ld KB)\n",
+                point.config.c_str(), point.rate(), unit.items,
+                unit.costPrecision, point.cost(), unit.costKey,
+                static_cast<unsigned long long>(point.runs),
+                unit.runsKey, point.peakRssKb);
     return point;
 }
 
 std::string
-genPointToJson(const GenJsonPoint &point)
+toJson(const Point &point, const char *stamp)
 {
-    char stamp[32] = "unknown";
-    const std::time_t now = std::time(nullptr);
-    if (std::tm tm_utc{}; gmtime_r(&now, &tm_utc) != nullptr)
-        std::strftime(stamp, sizeof stamp, "%Y-%m-%dT%H:%M:%SZ",
-                      &tm_utc);
-    return strformat(
-        "{\n"
-        "    \"bench\": \"bench_micro.generatedReplay\",\n"
-        "    \"config\": \"%s\",\n"
-        "    \"records\": %zu,\n"
-        "    \"events_per_run\": %llu,\n"
-        "    \"runs\": %llu,\n"
-        "    \"gen_events_per_sec\": %.0f,\n"
-        "    \"ns_per_event\": %.2f,\n"
-        "    \"arena_high_water\": %llu,\n"
-        "    \"peak_rss_kb\": %ld,\n"
-        "    \"timestamp\": \"%s\"\n"
-        "  }",
-        point.config.c_str(), point.records,
-        static_cast<unsigned long long>(point.eventsPerRun),
-        static_cast<unsigned long long>(point.runs),
-        point.eventsPerSec, point.nsPerEvent,
-        static_cast<unsigned long long>(
-            point.stats.arenaHighWater),
-        point.peakRssKb, stamp);
-}
+    const Unit &unit = point.figure->unit;
+    Fields fields{
+        {"bench", strformat("\"%s\"", point.figure->bench)},
+        {"config", "\"" + point.config + "\""}};
+    fields.insert(fields.end(), point.head.begin(),
+                  point.head.end());
+    fields.emplace_back(unit.runsKey, count(point.runs));
+    fields.emplace_back(point.figure->rateKey,
+                        strformat("%.*f", unit.ratePrecision,
+                                  point.rate()));
+    fields.emplace_back(unit.costKey, strformat("%.*f",
+                                                unit.costPrecision,
+                                                point.cost()));
+    fields.insert(fields.end(), point.tail.begin(), point.tail.end());
+    fields.emplace_back("peak_rss_kb", std::to_string(point.peakRssKb));
+    fields.emplace_back("timestamp", strformat("\"%s\"", stamp));
 
-/**
- * The M10 configuration: the real-pattern 16-chunk overlap variant of
- * the sweep3d-x8 trace (the M3 transform's output) replayed on the
- * flat bus at 4096 MB/s. Chunking multiplies the transfers about
- * twentyfold and they contend for the per-node links, so this is
- * the replay that dominates an R1 sweep and the one that prices
- * flat-bus admission; M1 times the original trace, which barely
- * queues. The variant is built and lowered once and replayed
- * through one reusable session, as the sweep drives it. The
- * wait-queue gauges ride along (deterministic per run).
- */
-struct VariantJsonPoint
-{
-    std::string config;
-    std::size_t records = 0;
-    std::uint64_t eventsPerRun = 0;
-    std::uint64_t runs = 0;
-    double eventsPerSec = 0.0;
-    double nsPerEvent = 0.0;
-    long peakRssKb = 0;
-    /** Per-run engine counters (deterministic across runs). */
-    obs::EngineStats stats;
-};
-
-VariantJsonPoint
-measureVariantConfig(double min_seconds)
-{
-    const auto bundle = traceApp("sweep3d", 8);
-    core::TransformConfig config;
-    config.pattern = core::PatternModel::real;
-    config.mechanism = core::Mechanism::both;
-    config.chunks = 16;
-    const auto variant = core::buildOverlappedTrace(
-        bundle.traces, bundle.overlap, config);
-    auto platform = sim::platforms::defaultCluster();
-    platform.bandwidthMBps = 4096.0;
-
-    const auto program = sim::compileShared(variant.traces);
-    sim::ReplaySession session;
-    const auto warmup = session.run(*program, platform);
-
-    std::uint64_t events = 0;
-    std::uint64_t runs = 0;
-    const auto start = std::chrono::steady_clock::now();
-    double elapsed = 0.0;
-    do {
-        const auto result = session.run(*program, platform);
-        events += result.eventsProcessed;
-        ++runs;
-        elapsed = std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - start)
-                      .count();
-    } while (elapsed < min_seconds);
-
-    VariantJsonPoint point;
-    point.config = "sweep3d-x8/overlap-real16/bw4096";
-    point.records = variant.traces.totalRecords();
-    point.eventsPerRun = warmup.eventsProcessed;
-    point.stats = warmup.stats;
-    point.runs = runs;
-    point.eventsPerSec = static_cast<double>(events) / elapsed;
-    point.nsPerEvent =
-        elapsed * 1e9 / static_cast<double>(events);
-    struct rusage usage{};
-    getrusage(RUSAGE_SELF, &usage);
-    point.peakRssKb = usage.ru_maxrss;
-    return point;
-}
-
-std::string
-variantPointToJson(const VariantJsonPoint &point)
-{
-    char stamp[32] = "unknown";
-    const std::time_t now = std::time(nullptr);
-    if (std::tm tm_utc{}; gmtime_r(&now, &tm_utc) != nullptr)
-        std::strftime(stamp, sizeof stamp, "%Y-%m-%dT%H:%M:%SZ",
-                      &tm_utc);
-    return strformat(
-        "{\n"
-        "    \"bench\": \"bench_micro.variantReplay\",\n"
-        "    \"config\": \"%s\",\n"
-        "    \"records\": %zu,\n"
-        "    \"events_per_run\": %llu,\n"
-        "    \"runs\": %llu,\n"
-        "    \"variant_events_per_sec\": %.0f,\n"
-        "    \"ns_per_event\": %.2f,\n"
-        "    \"wait_scan_steps\": %llu,\n"
-        "    \"wait_queue_max_depth\": %llu,\n"
-        "    \"peak_rss_kb\": %ld,\n"
-        "    \"timestamp\": \"%s\"\n"
-        "  }",
-        point.config.c_str(), point.records,
-        static_cast<unsigned long long>(point.eventsPerRun),
-        static_cast<unsigned long long>(point.runs),
-        point.eventsPerSec, point.nsPerEvent,
-        static_cast<unsigned long long>(point.stats.waitScanSteps),
-        static_cast<unsigned long long>(
-            point.stats.waitQueueMaxDepth),
-        point.peakRssKb, stamp);
-}
-
-/**
- * The M4 configuration: one R1-style bandwidth sweep of the sweep3d
- * proxy (original + the two standard variants per grid point),
- * repeated until the clock budget runs out. The figure of merit is
- * sweep points per second — the rate the campaign engine retires
- * (bandwidth, trace-variant) replay bundles. Since the sweep engine
- * lowers each variant once and shares the compiled program across
- * all grid points, this figure reflects program-replay speed plus
- * the amortized variant construction.
- */
-struct SweepJsonPoint
-{
-    std::string config;
-    int threads = 0;
-    std::size_t gridPoints = 0;
-    std::uint64_t sweeps = 0;
-    double pointsPerSec = 0.0;
-    double msPerPoint = 0.0;
-    long peakRssKb = 0;
-};
-
-SweepJsonPoint
-measureSweepConfig(int threads, double min_seconds)
-{
-    const auto bundle = traceApp("sweep3d", 8);
-    auto platform = sim::platforms::defaultCluster();
-    const auto grid = core::logBandwidthGrid(1.0, 65536.0, 4);
-    const auto variants = core::standardVariants(16);
-
-    // Warm-up sweep (pays variant construction, page faults and
-    // thread spawning outside the timing).
-    core::bandwidthSweep(bundle, platform, grid, variants,
-                         threads);
-
-    std::uint64_t sweeps = 0;
-    const auto start = std::chrono::steady_clock::now();
-    double elapsed = 0.0;
-    do {
-        const auto sweep = core::bandwidthSweep(
-            bundle, platform, grid, variants, threads);
-        if (sweep.points.size() != grid.size())
-            std::abort(); // keep the replays observable
-        ++sweeps;
-        elapsed = std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - start)
-                      .count();
-    } while (elapsed < min_seconds);
-
-    SweepJsonPoint point;
-    point.config = strformat("sweep3d-x8/grid%zux%zu",
-                             grid.size(), variants.size() + 1);
-    point.threads = threads;
-    point.gridPoints = grid.size();
-    point.sweeps = sweeps;
-    const double points =
-        static_cast<double>(sweeps * grid.size());
-    point.pointsPerSec = points / elapsed;
-    point.msPerPoint = elapsed * 1e3 / points;
-    struct rusage usage{};
-    getrusage(RUSAGE_SELF, &usage);
-    point.peakRssKb = usage.ru_maxrss;
-    return point;
-}
-
-std::string
-sweepPointToJson(const SweepJsonPoint &point)
-{
-    char stamp[32] = "unknown";
-    const std::time_t now = std::time(nullptr);
-    if (std::tm tm_utc{}; gmtime_r(&now, &tm_utc) != nullptr)
-        std::strftime(stamp, sizeof stamp, "%Y-%m-%dT%H:%M:%SZ",
-                      &tm_utc);
-    return strformat(
-        "{\n"
-        "    \"bench\": \"bench_micro.sweepThroughput\",\n"
-        "    \"config\": \"%s\",\n"
-        "    \"threads\": %d,\n"
-        "    \"grid_points\": %zu,\n"
-        "    \"sweeps\": %llu,\n"
-        "    \"sweep_points_per_sec\": %.2f,\n"
-        "    \"ms_per_point\": %.3f,\n"
-        "    \"peak_rss_kb\": %ld,\n"
-        "    \"timestamp\": \"%s\"\n"
-        "  }",
-        point.config.c_str(), point.threads, point.gridPoints,
-        static_cast<unsigned long long>(point.sweeps),
-        point.pointsPerSec, point.msPerPoint, point.peakRssKb,
-        stamp);
+    std::string json = "{";
+    for (std::size_t i = 0; i < fields.size(); ++i) {
+        json += i == 0 ? "\n    \"" : ",\n    \"";
+        json += fields[i].first + "\": " + fields[i].second;
+    }
+    return json + "\n  }";
 }
 
 /** Append a point to the JSON-array trajectory file in place. */
@@ -1292,122 +673,22 @@ appendToTrajectory(const std::string &path,
 int
 runJsonMode(const std::string &path, int threads)
 {
-    JsonPoint largest;
-    for (const auto &config : jsonConfigs) {
-        const JsonPoint point = measureConfig(config, 1.5);
-        std::printf(
-            "%-22s %9.2f M events/s  %6.2f ns/event  "
-            "(%llu runs x %llu events, rss %ld KB)\n",
-            point.config.c_str(), point.eventsPerSec / 1e6,
-            point.nsPerEvent,
-            static_cast<unsigned long long>(point.runs),
-            static_cast<unsigned long long>(point.eventsPerRun),
-            point.peakRssKb);
-        largest = point;
+    std::vector<Point> measured;
+    for (const Figure &figure : figures)
+        measured.push_back(measure(figure, threads));
+
+    char stamp[32] = "unknown";
+    const std::time_t now = std::time(nullptr);
+    if (std::tm tm_utc{}; gmtime_r(&now, &tm_utc) != nullptr)
+        std::strftime(stamp, sizeof stamp, "%Y-%m-%dT%H:%M:%SZ",
+                      &tm_utc);
+    std::string configs;
+    for (const Point &point : measured) {
+        appendToTrajectory(path, toJson(point, stamp));
+        configs += (configs.empty() ? "" : ", ") + point.config;
     }
-    const CompileJsonPoint compile = measureCompileConfig(1.5);
-    std::printf(
-        "%-22s %9.2f M records/s  %6.2f ns/record  "
-        "(%llu compiles x %zu records, rss %ld KB)\n",
-        compile.config.c_str(), compile.recordsPerSec / 1e6,
-        compile.nsPerRecord,
-        static_cast<unsigned long long>(compile.runs),
-        compile.records, compile.peakRssKb);
-    const TransformJsonPoint transform =
-        measureTransformConfig(1.5);
-    std::printf(
-        "%-22s %9.2f M records/s  %6.2f ns/record  "
-        "(%llu builds x %zu records, rss %ld KB)\n",
-        transform.config.c_str(),
-        transform.recordsPerSec / 1e6, transform.nsPerRecord,
-        static_cast<unsigned long long>(transform.runs),
-        transform.records, transform.peakRssKb);
-    const SweepJsonPoint sweep =
-        measureSweepConfig(threads, 1.5);
-    std::printf(
-        "%-22s %9.2f sweep points/s  %6.3f ms/point  "
-        "(%llu sweeps @ %d threads, rss %ld KB)\n",
-        sweep.config.c_str(), sweep.pointsPerSec,
-        sweep.msPerPoint,
-        static_cast<unsigned long long>(sweep.sweeps),
-        sweep.threads, sweep.peakRssKb);
-    const TopoJsonPoint topo = measureTopoConfig(1.5);
-    std::printf(
-        "%-22s %9.2f M events/s  %6.2f ns/event  "
-        "(%llu runs x %llu events, rss %ld KB)\n",
-        topo.config.c_str(), topo.eventsPerSec / 1e6,
-        topo.nsPerEvent,
-        static_cast<unsigned long long>(topo.runs),
-        static_cast<unsigned long long>(topo.eventsPerRun),
-        topo.peakRssKb);
-    const CollJsonPoint coll = measureCollConfig(1.5);
-    std::printf(
-        "%-22s %9.2f M events/s  %6.2f ns/event  "
-        "(%llu runs x %llu events, rss %ld KB)\n",
-        coll.config.c_str(), coll.eventsPerSec / 1e6,
-        coll.nsPerEvent,
-        static_cast<unsigned long long>(coll.runs),
-        static_cast<unsigned long long>(coll.eventsPerRun),
-        coll.peakRssKb);
-    const ScenJsonPoint scen = measureScenConfig(1.5);
-    std::printf(
-        "%-22s %9.2f M events/s  %6.2f ns/event  "
-        "(%llu runs x %llu events, rss %ld KB)\n",
-        scen.config.c_str(), scen.eventsPerSec / 1e6,
-        scen.nsPerEvent,
-        static_cast<unsigned long long>(scen.runs),
-        static_cast<unsigned long long>(scen.eventsPerRun),
-        scen.peakRssKb);
-    const ResJsonPoint res = measureResConfig(1.5);
-    std::printf(
-        "%-22s %9.2f M events/s  %6.2f ns/event  "
-        "(%llu runs x %llu events, %llu restarts/run, rss %ld "
-        "KB)\n",
-        res.config.c_str(), res.eventsPerSec / 1e6,
-        res.nsPerEvent,
-        static_cast<unsigned long long>(res.runs),
-        static_cast<unsigned long long>(res.eventsPerRun),
-        static_cast<unsigned long long>(res.restartsPerRun),
-        res.peakRssKb);
-    const GenJsonPoint genPoint = measureGenConfig(1.5);
-    std::printf(
-        "%-22s %9.2f M events/s  %6.2f ns/event  "
-        "(%llu runs x %llu events, rss %ld KB)\n",
-        genPoint.config.c_str(), genPoint.eventsPerSec / 1e6,
-        genPoint.nsPerEvent,
-        static_cast<unsigned long long>(genPoint.runs),
-        static_cast<unsigned long long>(genPoint.eventsPerRun),
-        genPoint.peakRssKb);
-    const VariantJsonPoint variant = measureVariantConfig(1.5);
-    std::printf(
-        "%-22s %9.2f M events/s  %6.2f ns/event  "
-        "(%llu runs x %llu events, %llu wait-scan steps/run, "
-        "rss %ld KB)\n",
-        variant.config.c_str(), variant.eventsPerSec / 1e6,
-        variant.nsPerEvent,
-        static_cast<unsigned long long>(variant.runs),
-        static_cast<unsigned long long>(variant.eventsPerRun),
-        static_cast<unsigned long long>(variant.stats.waitScanSteps),
-        variant.peakRssKb);
-    appendToTrajectory(path, pointToJson(largest));
-    appendToTrajectory(path, compilePointToJson(compile));
-    appendToTrajectory(path, transformPointToJson(transform));
-    appendToTrajectory(path, sweepPointToJson(sweep));
-    appendToTrajectory(path, topoPointToJson(topo));
-    appendToTrajectory(path, collPointToJson(coll));
-    appendToTrajectory(path, scenPointToJson(scen));
-    appendToTrajectory(path, resPointToJson(res));
-    appendToTrajectory(path, genPointToJson(genPoint));
-    appendToTrajectory(path, variantPointToJson(variant));
-    std::printf(
-        "trajectory points (%s, %s, %s, %s, %s, %s, %s, %s, %s, %s) "
-        "appended to %s\n",
-        largest.config.c_str(), compile.config.c_str(),
-        transform.config.c_str(), sweep.config.c_str(),
-        topo.config.c_str(), coll.config.c_str(),
-        scen.config.c_str(), res.config.c_str(),
-        genPoint.config.c_str(), variant.config.c_str(),
-        path.c_str());
+    std::printf("trajectory points (%s) appended to %s\n",
+                configs.c_str(), path.c_str());
     return 0;
 }
 

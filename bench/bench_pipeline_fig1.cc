@@ -28,7 +28,7 @@ using namespace ovlsim::bench;
 int
 main(int argc, char **argv)
 {
-    const int threads = parseThreads(argc, argv);
+    parseThreads(argc, argv);
     std::printf("F1: the simulation environment of Figure 1, end "
                 "to end (NAS-BT proxy, 1 iteration)\n\n");
 
@@ -79,16 +79,10 @@ main(int argc, char **argv)
                     ? "unlimited"
                     : strformat("%d", platform.buses).c_str());
 
-    // The original and overlapped replays are independent; batch
-    // them over the worker pool like every other driver, sharing
-    // the pre-compiled programs.
-    const std::vector<sim::SimJob> jobs{
-        {original_program, platform},
-        {overlapped_program, platform},
-    };
-    const auto results = sim::simulateBatch(jobs, threads);
-    const auto &original_result = results[0];
-    const auto &overlapped_result = results[1];
+    const auto original_result =
+        sim::simulate(*original_program, platform);
+    const auto overlapped_result =
+        sim::simulate(*overlapped_program, platform);
 
     // Stage 4: Paraver-like visualization of both behaviours.
     viz::GanttOptions options;

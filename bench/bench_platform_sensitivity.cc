@@ -21,20 +21,15 @@ namespace {
 
 double
 idealSpeedupOn(core::OverlapStudy &study,
-               const sim::PlatformConfig &platform, int threads)
+               const sim::PlatformConfig &platform)
 {
     core::TransformConfig ideal;
     ideal.pattern = core::PatternModel::idealLinear;
-    // The study caches one compiled program per variant; handing
-    // those to the batch replays them directly instead of
-    // re-lowering both trace sets on every sweep step.
-    const std::vector<sim::SimJob> jobs{
-        {study.originalProgram(), platform},
-        {study.overlappedProgram(ideal), platform},
-    };
-    const auto results = sim::simulateBatch(jobs, threads);
-    return speedupPct(results[0].totalTime,
-                      results[1].totalTime);
+    // The study caches one compiled program per variant, so no
+    // sweep step re-lowers either trace set.
+    return speedupPct(
+        study.simulateOriginal(platform).totalTime,
+        study.simulateOverlapped(ideal, platform).totalTime);
 }
 
 } // namespace
@@ -42,9 +37,9 @@ idealSpeedupOn(core::OverlapStudy &study,
 int
 main(int argc, char **argv)
 {
-    const int threads = parseThreads(argc, argv);
+    parseThreads(argc, argv);
     std::printf("A3: platform sensitivity of the ideal-pattern "
-                "benefit (NAS-BT; %d threads)\n\n", threads);
+                "benefit (NAS-BT)\n\n");
 
     core::OverlapStudy study(traceApp("nas-bt"));
     auto base = sim::platforms::defaultCluster();
@@ -62,7 +57,7 @@ main(int argc, char **argv)
             auto platform = base;
             platform.latencyUs = latency;
             const double speedup =
-                idealSpeedupOn(study, platform, threads);
+                idealSpeedupOn(study, platform);
             table.addRow({strformat("%.1f", latency),
                           pct(speedup)});
             csv.addRow({"latency_us",
@@ -80,7 +75,7 @@ main(int argc, char **argv)
             auto platform = base;
             platform.buses = buses;
             const double speedup =
-                idealSpeedupOn(study, platform, threads);
+                idealSpeedupOn(study, platform);
             table.addRow({buses == 0 ? "unlimited"
                                      : strformat("%d", buses),
                           pct(speedup)});
@@ -102,7 +97,7 @@ main(int argc, char **argv)
             auto platform = base;
             platform.cpuRatio = ratio;
             const double speedup =
-                idealSpeedupOn(study, platform, threads);
+                idealSpeedupOn(study, platform);
             table.addRow({strformat("%.2fx", ratio),
                           pct(speedup)});
             csv.addRow({"cpu_ratio", strformat("%.2f", ratio),

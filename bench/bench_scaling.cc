@@ -22,9 +22,8 @@ using namespace ovlsim::bench;
 int
 main(int argc, char **argv)
 {
-    const int threads = parseThreads(argc, argv);
-    std::printf("S1: ideal-pattern benefit vs machine size "
-                "(%d threads)\n\n", threads);
+    parseThreads(argc, argv);
+    std::printf("S1: ideal-pattern benefit vs machine size\n\n");
 
     CsvWriter csv("bench_scaling.csv",
                   {"app", "ranks", "intermediate_mbps",
@@ -51,15 +50,11 @@ main(int argc, char **argv)
 
             core::TransformConfig ideal;
             ideal.pattern = core::PatternModel::idealLinear;
-            const std::vector<sim::SimJob> jobs{
-                {study.originalProgram(), platform},
-                {study.overlappedProgram(ideal), platform},
-            };
-            const auto results =
-                sim::simulateBatch(jobs, threads);
-            const auto &original = results[0];
+            const auto original = study.simulateOriginal(platform);
             const double speedup = speedupPct(
-                original.totalTime, results[1].totalTime);
+                original.totalTime,
+                study.simulateOverlapped(ideal, platform)
+                    .totalTime);
 
             table.addRow({strformat("%d", ranks),
                           mbps(platform.bandwidthMBps),

@@ -1,25 +1,10 @@
 #!/usr/bin/env bash
 # Perf regression gate for the replay engine and the study runtime.
 #
-# Builds Release, runs `bench_micro --json` (the M1 replay-engine
-# throughput measurement on its largest configuration plus the M2
-# trace-lowering, M3 overlap-transformation, M4 sweep-throughput,
-# M5 contended-topology, M6 algorithmic-collective, M7
-# dynamic-scenario, M8 resilience, M9 generated-workload and M10
-# variant-replay measurements) and fails if any figure regressed
-# more than the threshold against the checked-in baseline
-# (bench/BENCH_baseline.json):
-#
-#   M1  events_per_sec             compiled-program replay throughput
-#   M2  compile_records_per_sec    trace-lowering (compile) throughput
-#   M3  transform_records_per_sec  overlap-transformation throughput
-#   M4  sweep_points_per_sec       campaign (parallel sweep) throughput
-#   M5  topo_events_per_sec        topology-contended replay throughput
-#   M6  coll_events_per_sec        algorithmic-collective replay throughput
-#   M7  scen_events_per_sec        degraded-scenario replay throughput
-#   M8  res_events_per_sec         checkpoint/restart replay throughput
-#   M9  gen_events_per_sec         generated-workload (gen+lower+replay) throughput
-#   M10 variant_events_per_sec     16-chunk overlap-variant flat-bus replay throughput
+# Builds Release, runs `bench_micro --json` (the M1-M10 figure
+# table of bench/bench_micro.cc) and fails if any figure's throughput
+# key (GATES below) regressed more than the threshold against the
+# checked-in baseline (bench/BENCH_baseline.json).
 #
 # A baseline that lacks any gated key is stale: the gate fails fast
 # with a readable diff of the expected vs present keys instead of
@@ -54,11 +39,20 @@ BUILD_DIR="${OVLSIM_BENCH_BUILD_DIR:-build-bench}"
 THREADS="${OVLSIM_BENCH_THREADS:-0}"
 RUNS="${OVLSIM_BENCH_RUNS:-3}"
 BASELINE="bench/BENCH_baseline.json"
-GATED_KEYS=(events_per_sec compile_records_per_sec
-            transform_records_per_sec sweep_points_per_sec
-            topo_events_per_sec coll_events_per_sec
-            scen_events_per_sec res_events_per_sec
-            gen_events_per_sec variant_events_per_sec)
+# The gated keys, each with its table label ("key|label"):
+# require_keys, the --update report and the delta table all read
+# this one list.
+GATES=("events_per_sec|M1 events/sec"
+       "compile_records_per_sec|M2 compile records/sec"
+       "transform_records_per_sec|M3 transform records/sec"
+       "sweep_points_per_sec|M4 sweep points/sec"
+       "topo_events_per_sec|M5 topo events/sec"
+       "coll_events_per_sec|M6 coll events/sec"
+       "scen_events_per_sec|M7 scen events/sec"
+       "res_events_per_sec|M8 res events/sec"
+       "gen_events_per_sec|M9 gen events/sec"
+       "variant_events_per_sec|M10 variant events/sec")
+GATED_KEYS=("${GATES[@]%%|*}")
 UPDATE=0
 if [[ "${1:-}" == "--update" ]]; then
     UPDATE=1
@@ -139,17 +133,13 @@ if [[ "$UPDATE" == 1 || ! -f "$BASELINE" ]]; then
         best="$(best_key "$key")"
         sed -E -i "s/(\"$key\": *)[0-9.eE+]+/\1$best/" "$BASELINE"
     done
-    echo "bench_check: baseline updated, best of $RUNS runs" \
-         "($(extract_key "$BASELINE" events_per_sec) events/sec," \
-         "$(extract_key "$BASELINE" compile_records_per_sec) compile records/sec," \
-         "$(extract_key "$BASELINE" transform_records_per_sec) transform records/sec," \
-         "$(extract_key "$BASELINE" sweep_points_per_sec) sweep points/sec," \
-         "$(extract_key "$BASELINE" topo_events_per_sec) topo events/sec," \
-         "$(extract_key "$BASELINE" coll_events_per_sec) coll events/sec," \
-         "$(extract_key "$BASELINE" scen_events_per_sec) scen events/sec," \
-         "$(extract_key "$BASELINE" res_events_per_sec) res events/sec," \
-         "$(extract_key "$BASELINE" gen_events_per_sec) gen events/sec," \
-         "$(extract_key "$BASELINE" variant_events_per_sec) variant events/sec)"
+    summary=""
+    for gate in "${GATES[@]}"; do
+        label="${gate#*|}"
+        summary+="${summary:+, }$(extract_key "$BASELINE" "${gate%%|*}")"
+        summary+=" ${label#* }"
+    done
+    echo "bench_check: baseline updated, best of $RUNS runs ($summary)"
     exit 0
 fi
 
@@ -158,20 +148,14 @@ require_keys "$BASELINE" "baseline $BASELINE"
 # Per-key delta table, printed on PASS and FAIL alike so every run
 # leaves a comparable record in the log. A key fails the gate when
 # the current figure dropped more than THRESHOLD below the baseline.
-KEY_LABELS=("M1 events/sec" "M2 compile records/sec"
-            "M3 transform records/sec" "M4 sweep points/sec"
-            "M5 topo events/sec" "M6 coll events/sec"
-            "M7 scen events/sec" "M8 res events/sec"
-            "M9 gen events/sec" "M10 variant events/sec")
-
 FAILED=0
 printf 'bench_check: %-26s %14s %14s %8s  %s\n' \
        metric current baseline delta verdict
-for i in "${!GATED_KEYS[@]}"; do
-    key="${GATED_KEYS[$i]}"
+for gate in "${GATES[@]}"; do
+    key="${gate%%|*}"
     cur="$(best_key "$key")"
     base="$(extract_key "$BASELINE" "$key")"
-    row="$(awk -v label="${KEY_LABELS[$i]}" -v cur="$cur" \
+    row="$(awk -v label="${gate#*|}" -v cur="$cur" \
                -v base="$base" -v thr="$THRESHOLD" \
     'BEGIN {
         delta = (cur / base - 1.0) * 100;

@@ -4,28 +4,19 @@
 # sanitizer toggles never contaminate the normal configuration.
 #
 #   1. tier-1:  default Release-ish build, full ctest suite
-#   2. ASAN:    OVLSIM_ASAN build, full ctest suite, then
-#               explicit serial `ctest -L res`, `ctest -L gen`
-#               and `ctest -L obs` passes (the rollback arenas and
-#               snapshot splices are where lifetime bugs would
-#               live; generation builds large traces from raw
-#               loops; the trace exporter serializes raw span
-#               buffers)
+#   2. ASAN:    OVLSIM_ASAN build, full ctest suite
 #   3. UBSAN:   OVLSIM_UBSAN build, full ctest suite (signed
-#               overflow and friends in the event/cost arithmetic),
-#               then the same serial `ctest -L res`, `ctest -L gen`
-#               and `ctest -L obs` passes (rollback deltas,
-#               generator index/byte arithmetic and the counter
-#               accumulations are where integer bugs would live)
-#   4. TSAN:    OVLSIM_TSAN build, `ctest -L parallel` (the thread
-#               pool, parallel sweeps, scenario determinism, and —
-#               via test_obs's parallel label — the span buffers
-#               and campaign stats folds), `ctest -L coll` (the
-#               algorithmic collective engine), `ctest -L res`
-#               (resilience campaigns fanning seeded fault
-#               scenarios over the pool) and `ctest -L gen`
-#               (scaling sweeps fanning whole generate+lower+replay
-#               pipelines over the pool)
+#               overflow and friends in the event/cost arithmetic)
+#   4. TSAN:    OVLSIM_TSAN build, one `ctest -L` run over the
+#               parallel label (the thread pool, parallel sweeps,
+#               scenario determinism, and — via test_obs — the span
+#               buffers and campaign stats folds), coll (the
+#               algorithmic collective engine), res (resilience
+#               campaigns fanning seeded fault scenarios over the
+#               pool) and gen (scaling sweeps fanning whole
+#               generate+lower+replay pipelines over the pool)
+#
+# Each stage runs every selected test once.
 #
 # Usage:
 #   scripts/dev_check.sh            # run all four stages
@@ -62,25 +53,16 @@ if [[ "$FAST" == 1 ]]; then
     exit 0
 fi
 
-echo "== dev_check: stage 2/4 ASAN (full + res/gen/obs labels) =="
+echo "== dev_check: stage 2/4 ASAN =="
 stage asan -DCMAKE_BUILD_TYPE=RelWithDebInfo -DOVLSIM_ASAN=ON
 (cd "$PREFIX-asan" && ctest --output-on-failure -j "$JOBS")
-(cd "$PREFIX-asan" && ctest --output-on-failure -L res)
-(cd "$PREFIX-asan" && ctest --output-on-failure -L gen)
-(cd "$PREFIX-asan" && ctest --output-on-failure -L obs)
 
-echo "== dev_check: stage 3/4 UBSAN (full + res/gen/obs labels) =="
+echo "== dev_check: stage 3/4 UBSAN =="
 stage ubsan -DCMAKE_BUILD_TYPE=RelWithDebInfo -DOVLSIM_UBSAN=ON
 (cd "$PREFIX-ubsan" && ctest --output-on-failure -j "$JOBS")
-(cd "$PREFIX-ubsan" && ctest --output-on-failure -L res)
-(cd "$PREFIX-ubsan" && ctest --output-on-failure -L gen)
-(cd "$PREFIX-ubsan" && ctest --output-on-failure -L obs)
 
-echo "== dev_check: stage 4/4 TSAN (parallel + coll + res + gen labels) =="
+echo "== dev_check: stage 4/4 TSAN (parallel|coll|res|gen labels) =="
 stage tsan -DCMAKE_BUILD_TYPE=RelWithDebInfo -DOVLSIM_TSAN=ON
-(cd "$PREFIX-tsan" && ctest --output-on-failure -L parallel)
-(cd "$PREFIX-tsan" && ctest --output-on-failure -L coll)
-(cd "$PREFIX-tsan" && ctest --output-on-failure -L res)
-(cd "$PREFIX-tsan" && ctest --output-on-failure -L gen)
+(cd "$PREFIX-tsan" && ctest --output-on-failure -L 'parallel|coll|res|gen')
 
 echo "dev_check: PASS (tier-1 + ASAN + UBSAN + TSAN subsets)"

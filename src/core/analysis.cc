@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <memory>
 
 #include "res/fault_model.hh"
 #include "util/counter_rng.hh"
@@ -13,35 +15,211 @@ namespace ovlsim::core {
 
 namespace {
 
+using Programs = std::vector<std::shared_ptr<const sim::ReplayProgram>>;
+
 /**
- * Drain `pool`'s recorded spans into the hook, shifting them past
- * the latest span already collected: campaigns chaining sweeps
- * (topologySweep) run their inner pools sequentially, so the shift
- * keeps the merged host track in wall order even though every pool
- * restarts its span clock at zero.
+ * The fan-out every campaign driver runs on: one pool of lanes and
+ * one ReplaySession per lane, so replays reuse the engine arenas
+ * across jobs. Job i writes only its own slots, so every driver is
+ * bit-identical to its sequential loop at any thread count.
  */
-void
-collectSpans(CampaignObs *cobs, ThreadPool &pool)
+class Fanout
 {
-    if (cobs == nullptr || !cobs->recordSpans)
-        return;
-    std::uint64_t base = 0;
-    for (const ThreadPool::LaneSpan &span : cobs->spans) {
-        if (span.endNs > base)
-            base = span.endNs;
+  public:
+    /**
+     * `widest` is the largest task count of any phase the driver
+     * runs: lanes beyond it would only idle, so tiny campaigns
+     * don't pay for a hardware-sized pool.
+     */
+    Fanout(int threads, std::size_t widest, CampaignObs *cobs)
+        : cobs_(cobs), pool_(clampLanes(threads, widest)),
+          sessions_(static_cast<std::size_t>(pool_.size()))
+    {
+        if (spans())
+            pool_.enableSpans();
     }
-    for (ThreadPool::LaneSpan &span : pool.takeSpans()) {
-        span.beginNs += base;
-        span.endNs += base;
-        cobs->spans.push_back(std::move(span));
+
+    /**
+     * Compile the original (slot 0) and every overlapped variant
+     * (slot v + 1) once into shared immutable replay programs that
+     * every job replays from. Each variant TraceSet dies as soon as
+     * it is compiled, so a campaign holds one packed program per
+     * variant and no lane ever re-lowers a trace. The constructions
+     * are independent, so they fan out too (they dominate setup for
+     * many-chunk variants).
+     */
+    Programs
+    compile(const tracer::TraceBundle &bundle,
+            const std::vector<VariantSpec> &variants)
+    {
+        Programs programs(variants.size() + 1);
+        pool_.parallelFor(
+            programs.size(), [&](std::size_t v, int lane) {
+                pool_.spanBegin(lane, v == 0 ? "compile original"
+                                             : "compile " +
+                                                 variants[v - 1].name);
+                if (v == 0) {
+                    programs[0] = sim::compileShared(bundle.traces);
+                } else {
+                    const auto built = buildOverlappedTrace(
+                        bundle.traces, bundle.overlap,
+                        variants[v - 1].config);
+                    programs[v] = sim::compileShared(built.traces);
+                }
+                pool_.spanEnd(lane);
+            });
+        return programs;
     }
+
+    /**
+     * Run job(i, session) for every i in [0, count) on the lane's
+     * session. A job phase passes `label`: each job then runs
+     * inside a lane span of that name and ticks progress when done;
+     * a null label (setup pre-passes) does neither.
+     */
+    void
+    run(std::size_t count,
+        const std::function<std::string(std::size_t)> &label,
+        const std::function<void(std::size_t, sim::ReplaySession &)>
+            &job)
+    {
+        pool_.parallelFor(count, [&](std::size_t i, int lane) {
+            if (label)
+                pool_.spanBegin(lane, label(i));
+            job(i, sessions_[static_cast<std::size_t>(lane)]);
+            if (label) {
+                pool_.spanEnd(lane);
+                if (cobs_ != nullptr && cobs_->progress != nullptr)
+                    cobs_->progress->tick();
+            }
+        });
+    }
+
+    /**
+     * Hand the recorded lane spans to the hook, shifted past the
+     * latest span already collected: campaigns chaining sweeps
+     * (topologySweep) run their inner pools sequentially, so the
+     * shift keeps the merged host track in wall order even though
+     * every pool restarts its span clock at zero.
+     */
+    void
+    finish()
+    {
+        if (!spans())
+            return;
+        std::uint64_t base = 0;
+        for (const ThreadPool::LaneSpan &span : cobs_->spans)
+            base = std::max(base, span.endNs);
+        for (ThreadPool::LaneSpan &span : pool_.takeSpans()) {
+            span.beginNs += base;
+            span.endNs += base;
+            cobs_->spans.push_back(std::move(span));
+        }
+    }
+
+  private:
+    static int
+    clampLanes(int threads, std::size_t widest)
+    {
+        const int lanes = ThreadPool::resolveThreads(threads);
+        if (widest > 0 && static_cast<std::size_t>(lanes) > widest)
+            return static_cast<int>(widest);
+        return lanes;
+    }
+
+    bool spans() const { return cobs_ != nullptr && cobs_->recordSpans; }
+
+    CampaignObs *cobs_;
+    ThreadPool pool_;
+    std::vector<sim::ReplaySession> sessions_;
+};
+
+/** Original time over variant v's time (1.0 = equal; 0 when the
+ * variant took no time). */
+double
+speedupOf(SimTime original, const std::vector<SimTime> &variants,
+          std::size_t v)
+{
+    ovlAssert(v < variants.size(), "speedup: bad variant index");
+    const auto t = variants[v].ns();
+    if (t <= 0)
+        return 0.0;
+    return static_cast<double>(original.ns()) /
+        static_cast<double>(t);
 }
 
-void
-tickProgress(CampaignObs *cobs)
+/** `base` without its scenario or fault model: the failure-free
+ * platform whose runs size the resilience campaigns' fault
+ * horizon. */
+sim::PlatformConfig
+nominalPlatform(const sim::PlatformConfig &base)
 {
-    if (cobs != nullptr && cobs->progress != nullptr)
-        cobs->progress->tick();
+    sim::PlatformConfig nominal = base;
+    nominal.scenario = scen::ScenarioConfig{};
+    nominal.faultModelFile.clear();
+    return nominal;
+}
+
+/** Fold one cell's per-seed outcomes into its aggregates. */
+void
+aggregateCell(ResilienceCell &cell)
+{
+    std::vector<SimTime> alive;
+    alive.reserve(cell.seedTimes.size());
+    for (const SimTime t : cell.seedTimes) {
+        if (t != SimTime::max())
+            alive.push_back(t);
+    }
+    cell.failedFraction =
+        static_cast<double>(cell.seedTimes.size() - alive.size()) /
+        static_cast<double>(cell.seedTimes.size());
+    if (alive.empty()) {
+        cell.meanTime = SimTime::zero();
+        cell.p95Time = SimTime::zero();
+        return;
+    }
+    // Integer arithmetic end to end (ns sums fit: 2^63 ns is ~292
+    // years of simulated time) so the aggregates are bit-identical
+    // across hosts and thread counts.
+    std::int64_t sum = 0;
+    for (const SimTime t : alive)
+        sum += t.ns();
+    cell.meanTime = SimTime::fromNs(
+        sum / static_cast<std::int64_t>(alive.size()));
+    std::sort(alive.begin(), alive.end());
+    // Nearest-rank percentile: ceil(0.95 n) as (19n + 19) / 20.
+    const std::size_t n = alive.size();
+    const std::size_t rank = (19 * n + 19) / 20;
+    cell.p95Time = alive[rank - 1];
+}
+
+/**
+ * One bandwidthSweep per spec, each on `base` mutated by
+ * `apply(platform, spec)` and renamed after the spec. The specs run
+ * one after another: each inner sweep already fans its variant
+ * construction and grid points over the pool, and sequential outer
+ * order keeps every sweep's lane layout — and therefore the whole
+ * campaign — bit-identical to a one-spec run at any thread count.
+ */
+template <typename Spec, typename Apply>
+std::vector<SweepResult>
+sweepPerPlatform(const std::vector<Spec> &specs, Apply apply,
+                 const tracer::TraceBundle &bundle,
+                 const sim::PlatformConfig &base,
+                 const std::vector<double> &bandwidths,
+                 const std::vector<VariantSpec> &variants,
+                 int threads, CampaignObs *cobs)
+{
+    std::vector<SweepResult> sweeps;
+    sweeps.reserve(specs.size());
+    for (const Spec &spec : specs) {
+        sim::PlatformConfig platform = base;
+        apply(platform, spec);
+        platform.name = base.name + "/" + spec.name;
+        sweeps.push_back(bandwidthSweep(bundle, platform, bandwidths,
+                                        variants, threads, cobs));
+    }
+    return sweeps;
 }
 
 } // namespace
@@ -83,13 +261,7 @@ logBandwidthGrid(double lo_mbps, double hi_mbps,
 double
 SweepPoint::speedup(std::size_t v) const
 {
-    ovlAssert(v < variantTimes.size(),
-              "SweepPoint::speedup: bad variant index");
-    const auto t = variantTimes[v].ns();
-    if (t <= 0)
-        return 0.0;
-    return static_cast<double>(originalTime.ns()) /
-        static_cast<double>(t);
+    return speedupOf(originalTime, variantTimes, v);
 }
 
 SweepResult
@@ -102,58 +274,18 @@ bandwidthSweep(const tracer::TraceBundle &bundle,
     SweepResult result;
     result.variants = variants;
 
-    // Lanes beyond the widest phase (usually the per-point fan-out)
-    // would only idle; clamp so tiny sweeps don't pay for a
-    // hardware-sized pool.
-    const std::size_t widest =
-        bandwidths.size() > variants.size() ? bandwidths.size()
-                                            : variants.size();
-    int lanes = ThreadPool::resolveThreads(threads);
-    if (widest > 0 && static_cast<std::size_t>(lanes) > widest)
-        lanes = static_cast<int>(widest);
-    ThreadPool pool(lanes);
-    if (cobs != nullptr && cobs->recordSpans)
-        pool.enableSpans();
+    Fanout fanout(threads,
+                  std::max(bandwidths.size(), variants.size() + 1),
+                  cobs);
+    const Programs programs = fanout.compile(bundle, variants);
 
-    // Compile the original and every overlapped variant once into
-    // shared immutable replay programs; every sweep point replays
-    // from them. The variant TraceSets are dropped as soon as they
-    // are compiled, so the campaign's footprint is one packed
-    // program per variant instead of one fat record vector per
-    // variant, and no lane ever re-lowers a trace. Slot 0 is the
-    // original; the constructions are independent, so they fan out
-    // too (they dominate setup for many-chunk variants).
-    std::vector<std::shared_ptr<const sim::ReplayProgram>> programs(
-        variants.size() + 1);
-    pool.parallelFor(
-        programs.size(), [&](std::size_t v, int lane) {
-            pool.spanBegin(
-                lane,
-                v == 0 ? "compile original"
-                       : "compile " + variants[v - 1].name);
-            if (v == 0) {
-                programs[0] = sim::compileShared(bundle.traces);
-            } else {
-                const auto built = buildOverlappedTrace(
-                    bundle.traces, bundle.overlap,
-                    variants[v - 1].config);
-                programs[v] = sim::compileShared(built.traces);
-            }
-            pool.spanEnd(lane);
-        });
-
-    // One replay session per lane: replays reuse the engine arenas
-    // across points, and point i writes only slot i, so the sweep is
-    // bit-identical to the sequential loop at any thread count.
-    std::vector<sim::ReplaySession> sessions(
-        static_cast<std::size_t>(pool.size()));
     result.points.resize(bandwidths.size());
-    pool.parallelFor(
-        bandwidths.size(), [&](std::size_t i, int lane) {
-            pool.spanBegin(lane, strformat("point bw=%.4g",
-                                           bandwidths[i]));
-            auto &session =
-                sessions[static_cast<std::size_t>(lane)];
+    fanout.run(
+        bandwidths.size(),
+        [&](std::size_t i) {
+            return strformat("point bw=%.4g", bandwidths[i]);
+        },
+        [&](std::size_t i, sim::ReplaySession &session) {
             sim::PlatformConfig platform = base;
             platform.bandwidthMBps = bandwidths[i];
 
@@ -171,27 +303,19 @@ bandwidthSweep(const tracer::TraceBundle &bundle,
                 point.variantTimes.push_back(run.totalTime);
                 point.stats.merge(run.stats);
             }
-            pool.spanEnd(lane);
-            tickProgress(cobs);
         });
     // Sequential fold (merge is commutative anyway), so the
     // aggregate is bit-identical at any thread count.
     for (const SweepPoint &point : result.points)
         result.stats.merge(point.stats);
-    collectSpans(cobs, pool);
+    fanout.finish();
     return result;
 }
 
 double
 ScalingPoint::speedup(std::size_t v) const
 {
-    ovlAssert(v < variantTimes.size(),
-              "ScalingPoint::speedup: bad variant index");
-    const auto t = variantTimes[v].ns();
-    if (t <= 0)
-        return 0.0;
-    return static_cast<double>(originalTime.ns()) /
-        static_cast<double>(t);
+    return speedupOf(originalTime, variantTimes, v);
 }
 
 ScalingResult
@@ -204,30 +328,19 @@ scalingSweep(const gen::WorkloadConfig &workload,
     ScalingResult result;
     result.variants = variants;
 
-    int lanes = ThreadPool::resolveThreads(threads);
-    if (!rank_grid.empty() &&
-        static_cast<std::size_t>(lanes) > rank_grid.size())
-        lanes = static_cast<int>(rank_grid.size());
-    ThreadPool pool(lanes);
-    if (cobs != nullptr && cobs->recordSpans)
-        pool.enableSpans();
-
     // Unlike the bandwidth sweep there is no shared compiled
     // program: every point is a different trace (its own rank
     // count), so the whole pipeline — generate, transform, compile,
     // replay — fans out per point. Generation is a pure function of
-    // (workload, seed), and point i writes only slot i, so the
-    // sweep is bit-identical to the sequential loop at any thread
-    // count.
-    std::vector<sim::ReplaySession> sessions(
-        static_cast<std::size_t>(pool.size()));
+    // (workload, seed).
+    Fanout fanout(threads, rank_grid.size(), cobs);
     result.points.resize(rank_grid.size());
-    pool.parallelFor(
-        rank_grid.size(), [&](std::size_t i, int lane) {
-            pool.spanBegin(lane, strformat("point ranks=%d",
-                                           rank_grid[i]));
-            auto &session =
-                sessions[static_cast<std::size_t>(lane)];
+    fanout.run(
+        rank_grid.size(),
+        [&](std::size_t i) {
+            return strformat("point ranks=%d", rank_grid[i]);
+        },
+        [&](std::size_t i, sim::ReplaySession &session) {
             const auto config =
                 gen::withRankCount(workload, rank_grid[i]);
             const auto bundle =
@@ -252,12 +365,10 @@ scalingSweep(const gen::WorkloadConfig &workload,
                 point.variantTimes.push_back(run.totalTime);
                 point.stats.merge(run.stats);
             }
-            pool.spanEnd(lane);
-            tickProgress(cobs);
         });
     for (const ScalingPoint &point : result.points)
         result.stats.merge(point.stats);
-    collectSpans(cobs, pool);
+    fanout.finish();
     return result;
 }
 
@@ -284,20 +395,12 @@ topologySweep(const tracer::TraceBundle &bundle,
 {
     TopologySweepResult result;
     result.topologies = topologies;
-    result.sweeps.reserve(topologies.size());
-    // Topologies run one after another: each inner sweep already
-    // fans its variant construction and grid points over the worker
-    // pool, and sequential outer order keeps every sweep's lane
-    // layout — and therefore the whole campaign — bit-identical to
-    // a one-topology run.
-    for (const auto &spec : topologies) {
-        sim::PlatformConfig platform = base;
-        platform.topology = spec.topology;
-        platform.name = base.name + "/" + spec.name;
-        result.sweeps.push_back(bandwidthSweep(
-            bundle, platform, bandwidths, variants, threads,
-            cobs));
-    }
+    result.sweeps = sweepPerPlatform(
+        topologies,
+        [](sim::PlatformConfig &platform, const TopologySpec &spec) {
+            platform.topology = spec.topology;
+        },
+        bundle, base, bandwidths, variants, threads, cobs);
     return result;
 }
 
@@ -311,58 +414,14 @@ degradedSweep(const tracer::TraceBundle &bundle,
 {
     DegradedSweepResult result;
     result.scenarios = scenarios;
-    result.sweeps.reserve(scenarios.size());
-    // Sequential outer loop for the same reason as topologySweep:
-    // the inner sweep owns the fan-out, and a fixed outer order
-    // keeps the campaign bit-identical to one-scenario runs at any
-    // thread count.
-    for (const auto &spec : scenarios) {
-        sim::PlatformConfig platform = base;
-        platform.scenario = spec.scenario;
-        platform.name = base.name + "/" + spec.name;
-        result.sweeps.push_back(bandwidthSweep(
-            bundle, platform, bandwidths, variants, threads,
-            cobs));
-    }
+    result.sweeps = sweepPerPlatform(
+        scenarios,
+        [](sim::PlatformConfig &platform, const ScenarioSpec &spec) {
+            platform.scenario = spec.scenario;
+        },
+        bundle, base, bandwidths, variants, threads, cobs);
     return result;
 }
-
-namespace {
-
-/** Fold one cell's per-seed outcomes into its aggregates. */
-void
-aggregateCell(ResilienceCell &cell)
-{
-    std::vector<SimTime> alive;
-    alive.reserve(cell.seedTimes.size());
-    for (const SimTime t : cell.seedTimes) {
-        if (t != SimTime::max())
-            alive.push_back(t);
-    }
-    cell.failedFraction =
-        static_cast<double>(cell.seedTimes.size() - alive.size()) /
-        static_cast<double>(cell.seedTimes.size());
-    if (alive.empty()) {
-        cell.meanTime = SimTime::zero();
-        cell.p95Time = SimTime::zero();
-        return;
-    }
-    // Integer arithmetic end to end (ns sums fit: 2^63 ns is ~292
-    // years of simulated time) so the aggregates are bit-identical
-    // across hosts and thread counts.
-    std::int64_t sum = 0;
-    for (const SimTime t : alive)
-        sum += t.ns();
-    cell.meanTime = SimTime::fromNs(
-        sum / static_cast<std::int64_t>(alive.size()));
-    std::sort(alive.begin(), alive.end());
-    // Nearest-rank percentile: ceil(0.95 n) as (19n + 19) / 20.
-    const std::size_t n = alive.size();
-    const std::size_t rank = (19 * n + 19) / 20;
-    cell.p95Time = alive[rank - 1];
-}
-
-} // namespace
 
 ResilienceResult
 resilienceSweep(const tracer::TraceBundle &bundle,
@@ -384,50 +443,23 @@ resilienceSweep(const tracer::TraceBundle &bundle,
     result.seedCount = seed_count;
 
     const std::size_t jobs = mtbf_grid_us.size() * seed_count;
-    int lanes = ThreadPool::resolveThreads(threads);
-    if (jobs > 0 && static_cast<std::size_t>(lanes) > jobs)
-        lanes = static_cast<int>(jobs);
-    ThreadPool pool(lanes);
-    if (cobs != nullptr && cobs->recordSpans)
-        pool.enableSpans();
-
-    // Programs compile once into shared immutable replay programs,
-    // exactly like bandwidthSweep; every (rate, seed, variant) job
-    // replays from them.
-    std::vector<std::shared_ptr<const sim::ReplayProgram>> programs(
-        variants.size() + 1);
-    pool.parallelFor(
-        programs.size(), [&](std::size_t v, int) {
-            if (v == 0) {
-                programs[0] = sim::compileShared(bundle.traces);
-                return;
-            }
-            const auto built = buildOverlappedTrace(
-                bundle.traces, bundle.overlap,
-                variants[v - 1].config);
-            programs[v] = sim::compileShared(built.traces);
-        });
+    Fanout fanout(threads, std::max(jobs, variants.size() + 1), cobs);
+    const Programs programs = fanout.compile(bundle, variants);
 
     // Failure-free pre-pass: nominal completion under the base
     // platform (checkpoint overhead included, faults excluded) sets
     // the fault horizon. Processes stop faulting at 4x the slowest
     // nominal run, so heavily reworked replays finish on a
     // fault-free tail instead of restarting forever.
-    sim::PlatformConfig nominal = base;
-    nominal.scenario = scen::ScenarioConfig{};
-    nominal.faultModelFile.clear();
-    std::vector<sim::ReplaySession> sessions(
-        static_cast<std::size_t>(pool.size()));
+    const sim::PlatformConfig nominal = nominalPlatform(base);
     std::vector<SimTime> nominalTimes(programs.size());
     std::vector<obs::EngineStats> nominalStats(programs.size());
-    pool.parallelFor(
-        programs.size(), [&](std::size_t v, int lane) {
-            const auto run =
-                sessions[static_cast<std::size_t>(lane)].run(
-                    *programs[v], nominal);
-            nominalTimes[v] = run.totalTime;
-            nominalStats[v] = run.stats;
-        });
+    fanout.run(programs.size(), nullptr,
+               [&](std::size_t v, sim::ReplaySession &session) {
+                   const auto run = session.run(*programs[v], nominal);
+                   nominalTimes[v] = run.totalTime;
+                   nominalStats[v] = run.stats;
+               });
     SimTime slowest;
     for (const SimTime t : nominalTimes) {
         if (t > slowest)
@@ -452,57 +484,47 @@ resilienceSweep(const tracer::TraceBundle &bundle,
 
     // One (rate, seed) job per row: the generated scenario is
     // shared across the row's variants, so cells compare under
-    // identical fault sequences. Every job writes only its own
-    // seedTimes slots and the scenario expansion is a pure function
-    // of (seed, i, s) through the counter RNG, so the sweep is
-    // bit-identical to the sequential loop at any thread count.
-    // Jobs of one grid point race on that point, so per-job stats
-    // land in a private slot and fold sequentially below.
+    // identical fault sequences. The scenario expansion is a pure
+    // function of (seed, i, s) through the counter RNG. Jobs of one
+    // grid point race on that point, so per-job stats land in a
+    // private slot and fold sequentially below.
     std::vector<obs::EngineStats> jobStats(jobs);
-    pool.parallelFor(jobs, [&](std::size_t job, int lane) {
-        const std::size_t i = job / seed_count;
-        const std::size_t s = job % seed_count;
-        pool.spanBegin(lane,
-                       strformat("job mtbf=%.4g seed=%zu",
-                                 mtbf_grid_us[i], s));
+    fanout.run(
+        jobs,
+        [&](std::size_t job) {
+            return strformat("job mtbf=%.4g seed=%zu",
+                             mtbf_grid_us[job / seed_count],
+                             job % seed_count);
+        },
+        [&](std::size_t job, sim::ReplaySession &session) {
+            const std::size_t i = job / seed_count;
+            const std::size_t s = job % seed_count;
+            const std::uint64_t row_seed =
+                CounterRng(seed, static_cast<std::uint64_t>(i)).at(s);
+            sim::PlatformConfig platform = nominal;
+            platform.scenario = res::generateScenario(
+                res::nodeFailStopModel(nodes, mtbf_grid_us[i]),
+                row_seed, result.horizon);
 
-        res::FaultModel model;
-        model.processes.reserve(static_cast<std::size_t>(nodes));
-        for (int n = 0; n < nodes; ++n) {
-            res::FaultProcess proc;
-            proc.target = scen::ScenTarget::node;
-            proc.nodeA = n;
-            proc.effect = res::FaultEffect::failStop;
-            proc.mtbfUs = mtbf_grid_us[i];
-            model.processes.push_back(std::move(proc));
-        }
-        const std::uint64_t row_seed =
-            CounterRng(seed, static_cast<std::uint64_t>(i)).at(s);
-        sim::PlatformConfig platform = nominal;
-        platform.scenario =
-            res::generateScenario(model, row_seed, result.horizon);
-
-        auto &session = sessions[static_cast<std::size_t>(lane)];
-        ResiliencePoint &point = result.points[i];
-        for (std::size_t v = 0; v < programs.size(); ++v) {
-            try {
-                const auto run =
-                    session.run(*programs[v], platform);
-                point.cells[v].seedTimes[s] = run.totalTime;
-                jobStats[job].merge(run.stats);
-            } catch (const scen::FailureError &err) {
-                // A dead run is campaign data, not an error: the
-                // platform fails faster than this configuration
-                // recovers. The slot keeps its max() sentinel and
-                // the structured diagnosis (which event killed the
-                // run, which ranks were left unfinished) rides
-                // along for the campaign report.
-                point.cells[v].seedDiagnoses[s] = err.diagnosis();
+            ResiliencePoint &point = result.points[i];
+            for (std::size_t v = 0; v < programs.size(); ++v) {
+                try {
+                    const auto run =
+                        session.run(*programs[v], platform);
+                    point.cells[v].seedTimes[s] = run.totalTime;
+                    jobStats[job].merge(run.stats);
+                } catch (const scen::FailureError &err) {
+                    // A dead run is campaign data, not an error:
+                    // the platform fails faster than this
+                    // configuration recovers. The slot keeps its
+                    // max() sentinel and the structured diagnosis
+                    // (which event killed the run, which ranks were
+                    // left unfinished) rides along for the campaign
+                    // report.
+                    point.cells[v].seedDiagnoses[s] = err.diagnosis();
+                }
             }
-        }
-        pool.spanEnd(lane);
-        tickProgress(cobs);
-    });
+        });
 
     for (ResiliencePoint &point : result.points) {
         for (ResilienceCell &cell : point.cells)
@@ -512,7 +534,7 @@ resilienceSweep(const tracer::TraceBundle &bundle,
         result.stats.merge(stats);
     for (const obs::EngineStats &stats : jobStats)
         result.stats.merge(stats);
-    collectSpans(cobs, pool);
+    fanout.finish();
     return result;
 }
 
@@ -545,33 +567,29 @@ protocolSweep(const tracer::TraceBundle &bundle,
 
     const std::size_t jobs =
         protocols.size() * interval_grid_us.size() * seed_count;
-    int lanes = ThreadPool::resolveThreads(threads);
-    if (static_cast<std::size_t>(lanes) > jobs)
-        lanes = static_cast<int>(jobs);
-    ThreadPool pool(lanes);
+    Fanout fanout(threads, jobs, nullptr);
 
     // Protocols compare checkpointing cost models over one fixed
     // workload, so only the original program replays — overlap
     // variants are resilienceSweep's axis, not this sweep's.
-    const auto program = sim::compileShared(bundle.traces);
+    const auto program = fanout.compile(bundle, {})[0];
 
     // Failure-free, checkpoint-free pre-pass sets the fault horizon
     // at 4x the nominal run, as in resilienceSweep. Checkpointing is
     // stripped too because the interval is this sweep's axis; the
     // 4x headroom dwarfs any protocol's freeze overhead.
-    sim::PlatformConfig nominal = base;
-    nominal.scenario = scen::ScenarioConfig{};
-    nominal.faultModelFile.clear();
+    sim::PlatformConfig nominal = nominalPlatform(base);
     nominal.checkpointIntervalUs = 0.0;
     nominal.checkpointCostUs = 0.0;
     nominal.restartCostUs = 0.0;
     nominal.checkpointGlobalIntervalUs = 0.0;
     nominal.checkpointGlobalCostUs = 0.0;
     nominal.restartGlobalCostUs = 0.0;
-    std::vector<sim::ReplaySession> sessions(
-        static_cast<std::size_t>(pool.size()));
-    result.horizon =
-        sessions[0].run(*program, nominal).totalTime * 4;
+    fanout.run(1, nullptr,
+               [&](std::size_t, sim::ReplaySession &session) {
+                   result.horizon =
+                       session.run(*program, nominal).totalTime * 4;
+               });
 
     const int nodes = (program->ranks() + base.cpusPerNode - 1) /
         base.cpusPerNode;
@@ -601,47 +619,36 @@ protocolSweep(const tracer::TraceBundle &bundle,
         }
     }
 
-    // One job per (protocol, interval, seed) cell slot. The fault
-    // scenario is a pure function of the seed index alone — every
-    // protocol and interval of seed s replays the exact same fault
-    // sequence, so the comparison isolates the cost model. Each job
-    // writes only its own slots; bit-identical at any thread count.
+    // The fault model, and with it every seed's scenario, is the
+    // same for every protocol and interval, so the comparison
+    // isolates the cost model.
+    res::FaultModel model = res::nodeFailStopModel(nodes, mtbf_us);
+    if (machine_mtbf_us > 0.0) {
+        // Machine-wide crashes restore from the global snapshot
+        // under two-level protocols and from the local one
+        // otherwise — the hierarchy's payoff shows up as data.
+        res::FaultProcess proc;
+        proc.target = scen::ScenTarget::all;
+        proc.effect = res::FaultEffect::failStop;
+        proc.mtbfUs = machine_mtbf_us;
+        model.processes.push_back(std::move(proc));
+    }
+
+    // One job per (protocol, interval, seed) cell slot; each job
+    // writes only its own slots.
     const std::size_t perProtocol =
         interval_grid_us.size() * seed_count;
-    pool.parallelFor(jobs, [&](std::size_t job, int lane) {
+    fanout.run(jobs, nullptr,
+               [&](std::size_t job, sim::ReplaySession &session) {
         const std::size_t p = job / perProtocol;
         const std::size_t k = (job % perProtocol) / seed_count;
         const std::size_t s = job % seed_count;
         const CheckpointProtocol &proto = protocols[p];
         const double interval = interval_grid_us[k];
 
-        res::FaultModel model;
-        model.processes.reserve(
-            static_cast<std::size_t>(nodes) +
-            (machine_mtbf_us > 0.0 ? 1u : 0u));
-        for (int n = 0; n < nodes; ++n) {
-            res::FaultProcess proc;
-            proc.target = scen::ScenTarget::node;
-            proc.nodeA = n;
-            proc.effect = res::FaultEffect::failStop;
-            proc.mtbfUs = mtbf_us;
-            model.processes.push_back(std::move(proc));
-        }
-        if (machine_mtbf_us > 0.0) {
-            // Machine-wide crashes restore from the global snapshot
-            // under two-level protocols and from the local one
-            // otherwise — the hierarchy's payoff shows up as data.
-            res::FaultProcess proc;
-            proc.target = scen::ScenTarget::all;
-            proc.effect = res::FaultEffect::failStop;
-            proc.mtbfUs = machine_mtbf_us;
-            model.processes.push_back(std::move(proc));
-        }
-        const std::uint64_t row_seed = CounterRng(seed, 0).at(s);
-
         sim::PlatformConfig platform = nominal;
-        platform.scenario =
-            res::generateScenario(model, row_seed, result.horizon);
+        platform.scenario = res::generateScenario(
+            model, CounterRng(seed, 0).at(s), result.horizon);
         platform.checkpointIntervalUs = interval;
         platform.checkpointCostUs = proto.checkpointCostUs;
         platform.restartCostUs = proto.restartCostUs;
@@ -654,7 +661,6 @@ protocolSweep(const tracer::TraceBundle &bundle,
         }
 
         ResilienceCell &cell = result.rows[p].cells[k].cell;
-        auto &session = sessions[static_cast<std::size_t>(lane)];
         try {
             cell.seedTimes[s] =
                 session.run(*program, platform).totalTime;

@@ -308,6 +308,22 @@ generateScenario(const FaultModel &model)
                             SimTime::fromUs(model.horizonUs));
 }
 
+FaultModel
+nodeFailStopModel(int nodes, double mtbf_us)
+{
+    FaultModel model;
+    model.processes.reserve(static_cast<std::size_t>(nodes));
+    for (int n = 0; n < nodes; ++n) {
+        FaultProcess proc;
+        proc.target = scen::ScenTarget::node;
+        proc.nodeA = n;
+        proc.effect = FaultEffect::failStop;
+        proc.mtbfUs = mtbf_us;
+        model.processes.push_back(std::move(proc));
+    }
+    return model;
+}
+
 double
 dalyInterval(double mtbf_us, double checkpoint_cost_us)
 {

@@ -154,6 +154,13 @@ scen::ScenarioConfig generateScenario(const FaultModel &model,
 scen::ScenarioConfig generateScenario(const FaultModel &model);
 
 /**
+ * One exponential fail-stop process at `mtbf_us` on each of nodes
+ * 0..nodes-1, in node order: the fault model of the resilience and
+ * protocol campaigns (core::resilienceSweep, core::protocolSweep).
+ */
+FaultModel nodeFailStopModel(int nodes, double mtbf_us);
+
+/**
  * Daly's first-order optimal checkpoint interval: the compute time
  * between checkpoints that minimises expected runtime under
  * exponential failures with mean `mtbf_us` and a per-checkpoint

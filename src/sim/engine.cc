@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "coll/coll.hh"
@@ -18,7 +17,6 @@
 #include "util/flat_map.hh"
 #include "util/logging.hh"
 #include "util/strings.hh"
-#include "util/thread_pool.hh"
 #include "util/types.hh"
 
 namespace ovlsim::sim {
@@ -2887,61 +2885,6 @@ simulate(const ReplayProgram &program,
 {
     Engine engine;
     return engine.run(program, platform);
-}
-
-std::vector<SimResult>
-simulateBatch(std::span<const SimJob> jobs, int threads)
-{
-    std::vector<SimResult> results(jobs.size());
-    // Resolve one compiled program per job. Jobs carrying an
-    // explicit program share it as-is; the rest compile once per
-    // distinct TraceSet pointer (driver batches typically replay a
-    // handful of trace sets across many platforms).
-    std::vector<std::shared_ptr<const ReplayProgram>> programs(
-        jobs.size());
-    std::map<const trace::TraceSet *, std::size_t> first_use;
-    std::vector<std::size_t> to_compile;
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        if (jobs[i].program != nullptr) {
-            programs[i] = jobs[i].program;
-            continue;
-        }
-        ovlAssert(jobs[i].traces != nullptr,
-                  "simulateBatch: job ", i,
-                  " has neither traces nor a program");
-        if (first_use.emplace(jobs[i].traces, i).second)
-            to_compile.push_back(i);
-    }
-
-    // Never spawn more lanes than jobs: small batches (2-3 replays)
-    // are common in driver loops, where a full hardware-sized pool
-    // would be pure spawn/join overhead.
-    int lanes = ThreadPool::resolveThreads(threads);
-    if (static_cast<std::size_t>(lanes) > jobs.size())
-        lanes = jobs.empty() ? 1
-                             : static_cast<int>(jobs.size());
-    ThreadPool pool(lanes);
-    pool.parallelFor(
-        to_compile.size(), [&](std::size_t k, int) {
-            const std::size_t i = to_compile[k];
-            programs[i] = compileShared(*jobs[i].traces);
-        });
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        if (programs[i] == nullptr)
-            programs[i] =
-                programs[first_use.at(jobs[i].traces)];
-    }
-
-    // One session per lane: lanes never share engine state, and job
-    // i always lands in slot i, so the output is independent of how
-    // tasks were scheduled over lanes.
-    std::vector<ReplaySession> sessions(
-        static_cast<std::size_t>(pool.size()));
-    pool.parallelFor(jobs.size(), [&](std::size_t i, int lane) {
-        results[i] = sessions[static_cast<std::size_t>(lane)].run(
-            *programs[i], jobs[i].platform);
-    });
-    return results;
 }
 
 } // namespace ovlsim::sim

@@ -8,8 +8,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <string>
+#include <string_view>
 
+#include "core/analysis.hh"
+#include "obs/stats.hh"
 #include "sim/platform.hh"
 #include "sim/result.hh"
 #include "trace/trace.hh"
@@ -48,6 +53,87 @@ expectIdentical(const sim::SimResult &a, const sim::SimResult &b)
             << "rank " << r;
         EXPECT_EQ(ra.bytesSent, rb.bytesSent) << "rank " << r;
     }
+}
+
+/** FNV-1a over 64-bit words: the digest golden pins compare. */
+struct Digest
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+
+    void
+    add(std::uint64_t v)
+    {
+        for (int i = 0; i < 8; ++i) {
+            h ^= (v >> (8 * i)) & 0xffu;
+            h *= 0x100000001b3ULL;
+        }
+    }
+
+    void add(SimTime t) { add(static_cast<std::uint64_t>(t.ns())); }
+
+    void addReal(double v) { add(std::bit_cast<std::uint64_t>(v)); }
+
+    void
+    addText(std::string_view text)
+    {
+        add(text.size());
+        for (const char c : text)
+            add(static_cast<std::uint64_t>(c));
+    }
+
+    void
+    add(const obs::EngineStats &s)
+    {
+        for (const std::uint64_t v :
+             {s.heapPushes, s.heapPops, s.channelProbes,
+              s.arenaHighWater, s.rateRecomputes, s.recomputesSkipped,
+              s.rearmsTaken, s.rearmsSkipped, s.scenarioEvents,
+              s.collSteps, s.rollbackReworkNs, s.waitScanSteps,
+              s.waitQueueMaxDepth})
+            add(v);
+    }
+};
+
+/** Digest of a bandwidth sweep: every point's bandwidth, times,
+ * comm fraction and stats, and the folded stats. */
+inline std::uint64_t
+sweepDigest(const core::SweepResult &sweep)
+{
+    Digest d;
+    for (const core::SweepPoint &point : sweep.points) {
+        d.addReal(point.bandwidthMBps);
+        d.add(point.originalTime);
+        d.addReal(point.originalCommFraction);
+        for (const SimTime t : point.variantTimes)
+            d.add(t);
+        d.add(point.stats);
+    }
+    d.add(sweep.stats);
+    return d.h;
+}
+
+/** Digest of one resilience cell: per-seed times and failure
+ * events, and the aggregates. */
+inline void
+addCell(Digest &d, const core::ResilienceCell &cell)
+{
+    for (const SimTime t : cell.seedTimes)
+        d.add(t);
+    for (const auto &diagnosis : cell.seedDiagnoses)
+        d.addText(diagnosis.event);
+    d.add(cell.meanTime);
+    d.add(cell.p95Time);
+    d.addReal(cell.failedFraction);
+}
+
+/** Expect `digest` to equal a golden recorded from an earlier
+ * build; on mismatch print the observed value. */
+inline void
+expectDigest(std::uint64_t digest, std::uint64_t golden,
+             const std::string &what)
+{
+    EXPECT_EQ(digest, golden)
+        << what << " observed: 0x" << std::hex << digest << "ULL";
 }
 
 /**

@@ -50,22 +50,7 @@ using trace::SendRec;
 using trace::TraceSet;
 using trace::WaitAllRec;
 
-/** FNV-1a over 64-bit words. */
-struct Digest
-{
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-
-    void
-    add(std::uint64_t v)
-    {
-        for (int i = 0; i < 8; ++i) {
-            h ^= (v >> (8 * i)) & 0xffu;
-            h *= 0x100000001b3ULL;
-        }
-    }
-
-    void add(SimTime t) { add(static_cast<std::uint64_t>(t.ns())); }
-};
+using testing::Digest;
 
 std::uint64_t
 digestOf(const sim::SimResult &r)

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <fstream>
@@ -322,6 +323,17 @@ TEST(ObsCampaignTest, SweepStatsBitIdenticalAcrossThreadCounts)
     EXPECT_TRUE(again.stats == reference.stats);
 }
 
+/** The recorded lane-span names, sorted. */
+std::vector<std::string>
+spanNames(const core::CampaignObs &cobs)
+{
+    std::vector<std::string> names;
+    for (const ThreadPool::LaneSpan &span : cobs.spans)
+        names.push_back(span.name);
+    std::sort(names.begin(), names.end());
+    return names;
+}
+
 TEST(ObsCampaignTest, ProgressAndSpansHookIntoTheSweep)
 {
     const auto bundle = testing::traceOf(
@@ -341,15 +353,52 @@ TEST(ObsCampaignTest, ProgressAndSpansHookIntoTheSweep)
     EXPECT_EQ(progress.done(), grid.size());
     progress.finish();
 
-    // Compile spans plus one span per sweep point, all closed and
-    // well-formed.
-    EXPECT_GE(cobs.spans.size(), grid.size());
+    // One compile span per program plus one span per sweep point,
+    // all closed and well-formed. The names are a contract: tools
+    // reading the trace count every span not named "compile ..." as
+    // a campaign job.
     for (const ThreadPool::LaneSpan &span : cobs.spans) {
         EXPECT_GE(span.endNs, span.beginNs);
         EXPECT_GE(span.lane, 0);
         EXPECT_LT(span.lane, 2);
-        EXPECT_FALSE(span.name.empty());
     }
+    EXPECT_EQ(spanNames(cobs),
+              (std::vector<std::string>{
+                  "compile original", "compile overlap-ideal",
+                  "compile overlap-real", "point bw=1024",
+                  "point bw=16", "point bw=160"}));
+
+    // A resilience campaign: one job span per (rate, seed), and
+    // nothing else but compile spans.
+    core::CampaignObs res_cobs;
+    res_cobs.recordSpans = true;
+    auto ckpt = testing::platformAt(512.0);
+    ckpt.checkpointIntervalUs = 300.0;
+    ckpt.checkpointCostUs = 5.0;
+    ckpt.restartCostUs = 10.0;
+    core::resilienceSweep(bundle, ckpt, {8000.0, 1000.0}, variants, 2,
+                          1, 2, &res_cobs);
+    std::vector<std::string> jobs;
+    for (const std::string &name : spanNames(res_cobs)) {
+        if (name.rfind("compile ", 0) != 0)
+            jobs.push_back(name);
+    }
+    EXPECT_EQ(jobs, (std::vector<std::string>{
+                        "job mtbf=1000 seed=0", "job mtbf=1000 seed=1",
+                        "job mtbf=8000 seed=0",
+                        "job mtbf=8000 seed=1"}));
+
+    // A scaling campaign: one span per rank count.
+    core::CampaignObs scale_cobs;
+    scale_cobs.recordSpans = true;
+    gen::WorkloadConfig stencil;
+    stencil.kind = gen::WorkloadKind::stencil;
+    stencil.iterations = 1;
+    core::scalingSweep(stencil, 1, base, {4, 8}, variants, 2,
+                       &scale_cobs);
+    EXPECT_EQ(spanNames(scale_cobs),
+              (std::vector<std::string>{"point ranks=4",
+                                        "point ranks=8"}));
 }
 
 TEST(ObsCampaignTest, ObservedSweepMatchesTheUnobservedOne)

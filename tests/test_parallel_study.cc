@@ -7,8 +7,8 @@
  * results may depend on the thread count or on scheduling: every
  * parallel path must produce output bit-identical to the sequential
  * path, and repeated runs must be bit-identical to each other. These
- * tests pin that contract for simulateBatch, bandwidthSweep and
- * isoPerformance across thread counts {1, 2, 8}, and cover the
+ * tests pin that contract for bandwidthSweep, the sweeps built on
+ * it and isoPerformance across thread counts {1, 2, 8}, and cover the
  * ThreadPool primitive itself (full task coverage, worker-local
  * lanes, exception propagation).
  */
@@ -34,7 +34,9 @@ using sim::SimResult;
 
 const int threadCounts[] = {1, 2, 8};
 
+using testing::expectDigest;
 using testing::expectIdentical;
+using testing::sweepDigest;
 
 /** Bit-exact equality of two sweep results. */
 void
@@ -200,36 +202,6 @@ TEST(ReplaySessionTest, ReuseMatchesFreshEngineAcrossJobs)
     }
 }
 
-TEST(SimulateBatchTest, MatchesSequentialAcrossThreadCounts)
-{
-    const auto ring = testing::traceOf(
-        4, testing::ringExchange(32 * 1024, 300'000, 4));
-    const auto pc = testing::traceOf(
-        2, testing::packedExchange(128 * 1024, 600'000));
-
-    std::vector<sim::SimJob> jobs;
-    for (const double bandwidth : {8.0, 64.0, 512.0, 4096.0}) {
-        jobs.push_back(
-            {&ring.traces, testing::platformAt(bandwidth)});
-        jobs.push_back(
-            {&pc.traces, testing::platformAt(bandwidth)});
-    }
-
-    const auto sequential = simulateBatch(jobs, 1);
-    ASSERT_EQ(sequential.size(), jobs.size());
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        expectIdentical(sequential[i],
-                        simulate(*jobs[i].traces,
-                                 jobs[i].platform));
-    }
-    for (const int threads : threadCounts) {
-        const auto parallel = simulateBatch(jobs, threads);
-        ASSERT_EQ(parallel.size(), sequential.size());
-        for (std::size_t i = 0; i < jobs.size(); ++i)
-            expectIdentical(parallel[i], sequential[i]);
-    }
-}
-
 TEST(ParallelSweepTest, BitIdenticalAcrossThreadCountsAndRuns)
 {
     const auto bundle = testing::traceOf(
@@ -241,6 +213,8 @@ TEST(ParallelSweepTest, BitIdenticalAcrossThreadCountsAndRuns)
     const auto sequential =
         core::bandwidthSweep(bundle, base, grid, variants, 1);
     ASSERT_EQ(sequential.points.size(), grid.size());
+    expectDigest(sweepDigest(sequential), 0xecfae62c026edc34ULL,
+                 "bandwidthSweep");
     for (const int threads : threadCounts) {
         // Repeated runs at the same thread count must also agree.
         expectIdenticalSweep(core::bandwidthSweep(bundle, base,
@@ -270,6 +244,15 @@ TEST(TopologySweepTest, BitIdenticalAcrossThreadCountsAndRuns)
     const auto sequential = core::topologySweep(
         bundle, base, grid, variants, topologies, 1);
     ASSERT_EQ(sequential.sweeps.size(), topologies.size());
+    // Goldens recorded before the campaign drivers shared one
+    // fan-out.
+    const std::uint64_t goldens[] = {
+        0x45ad229e3b051082ULL, 0x858b410e1b2f8b2dULL,
+        0x858b410e1b2f8b2dULL, 0x858b410e1b2f8b2dULL,
+        0x858b410e1b2f8b2dULL};
+    for (std::size_t t = 0; t < topologies.size(); ++t)
+        expectDigest(sweepDigest(sequential.sweeps[t]), goldens[t],
+                     topologies[t].name);
     for (const auto &sweep : sequential.sweeps)
         ASSERT_EQ(sweep.points.size(), grid.size());
     for (const int threads : threadCounts) {
@@ -326,6 +309,19 @@ TEST(CollectiveSweepTest, BitIdenticalAcrossThreadCountsAndRuns)
         bundle, base, grid, variants, topologies, 1);
     ASSERT_EQ(sequential.analytic.size(), topologies.size());
     ASSERT_EQ(sequential.algorithmic.size(), topologies.size());
+    const std::uint64_t analytic[] = {0x20f95cf45ae4127ULL,
+                                      0xafffb75ad1bd78e2ULL,
+                                      0xafffb75ad1bd78e2ULL};
+    const std::uint64_t algorithmic[] = {0xfb971b3e763ed2faULL,
+                                         0xaf7a89b91c58e0aeULL,
+                                         0x51ff038a1031da8dULL};
+    for (std::size_t t = 0; t < topologies.size(); ++t) {
+        expectDigest(sweepDigest(sequential.analytic[t]), analytic[t],
+                     "analytic " + topologies[t].name);
+        expectDigest(sweepDigest(sequential.algorithmic[t]),
+                     algorithmic[t],
+                     "algorithmic " + topologies[t].name);
+    }
     for (const int threads : threadCounts) {
         for (int run = 0; run < 2; ++run) {
             const auto parallel = core::collectiveSweep(
@@ -372,6 +368,11 @@ TEST(ParallelIsoPerformanceTest, ConcurrentBisectionsMatch)
     const auto base = sim::platforms::defaultCluster();
     const auto sequential = core::isoPerformance(
         bundle, base, ideal, 65536.0, 0.05, 1e-2, 1);
+    testing::Digest d;
+    d.add(sequential.originalTime);
+    d.addReal(sequential.originalRequiredBandwidth);
+    d.addReal(sequential.overlappedRequiredBandwidth);
+    expectDigest(d.h, 0xa731c67b1127dd80ULL, "isoPerformance");
     for (const int threads : threadCounts) {
         const auto parallel = core::isoPerformance(
             bundle, base, ideal, 65536.0, 0.05, 1e-2, threads);
@@ -386,34 +387,37 @@ TEST(ParallelIsoPerformanceTest, ConcurrentBisectionsMatch)
 
 TEST(ParallelProgramSharingTest, OneProgramServesAllLanes)
 {
-    // Campaigns compile each trace variant once and hand the same
-    // immutable ReplayProgram to every sweep lane. Replaying one
-    // shared program concurrently from many sessions must be
-    // bit-identical to sequential and to the compile-on-entry path
-    // (TSAN builds race-check the sharing).
+    // Sweeps compile each trace variant once and hand the same
+    // immutable ReplayProgram to every lane. Replaying one shared
+    // program concurrently from many sessions must be bit-identical
+    // to the compile-on-entry path (TSAN builds race-check the
+    // sharing).
     const auto bundle = testing::traceOf(
         4, testing::ringExchange(48 * 1024, 350'000, 5));
-    const auto program = sim::compileShared(bundle.traces);
+    const std::vector<double> grid{4.0,   16.0,   64.0,
+                                   256.0, 1024.0, 4096.0};
+    const auto variants = core::standardVariants(4);
+    const auto real = core::buildOverlappedTrace(
+        bundle.traces, bundle.overlap, variants[0].config);
 
-    std::vector<sim::SimJob> jobs;
-    for (const double bandwidth :
-         {4.0, 16.0, 64.0, 256.0, 1024.0, 4096.0}) {
-        jobs.emplace_back(program,
-                          testing::platformAt(bandwidth));
-    }
-
-    const auto sequential = simulateBatch(jobs, 1);
-    ASSERT_EQ(sequential.size(), jobs.size());
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        expectIdentical(sequential[i],
-                        simulate(bundle.traces,
-                                 jobs[i].platform));
-    }
     for (const int threads : threadCounts) {
-        const auto parallel = simulateBatch(jobs, threads);
-        ASSERT_EQ(parallel.size(), sequential.size());
-        for (std::size_t i = 0; i < jobs.size(); ++i)
-            expectIdentical(parallel[i], sequential[i]);
+        const auto sweep = core::bandwidthSweep(
+            bundle, testing::platformAt(1.0), grid, variants,
+            threads);
+        ASSERT_EQ(sweep.points.size(), grid.size());
+        for (std::size_t i = 0; i < grid.size(); ++i) {
+            const auto platform = testing::platformAt(grid[i]);
+            const auto original = simulate(bundle.traces, platform);
+            const auto &point = sweep.points[i];
+            EXPECT_EQ(point.originalTime.ns(),
+                      original.totalTime.ns())
+                << threads << " threads, point " << i;
+            EXPECT_EQ(point.originalCommFraction,
+                      original.commFraction());
+            EXPECT_EQ(point.variantTimes[0].ns(),
+                      simulate(real.traces, platform).totalTime.ns())
+                << threads << " threads, point " << i;
+        }
     }
 }
 

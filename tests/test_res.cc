@@ -39,9 +39,8 @@
  *    structured FailureDiagnosis per dead seed), never throws;
  *    protocolSweep's swept optimal interval lands within one grid
  *    step of res::dalyInterval's analytic prediction,
- *  - FailureError propagates through simulateBatch and
- *    bandwidthSweep without wedging the thread pool (satellite:
- *    failure propagation).
+ *  - FailureError propagates through bandwidthSweep without
+ *    wedging the thread pool (satellite: failure propagation).
  */
 
 #include <gtest/gtest.h>
@@ -849,22 +848,6 @@ TEST(CheckpointRestartTest, LiftedModeRestrictionsReplayToCompletion)
 // Failure propagation through the campaign drivers (satellite).
 // ---------------------------------------------------------------
 
-TEST(FailurePropagationTest, SimulateBatchRethrowsFailureError)
-{
-    const auto bundle = testing::traceOf(
-        2, testing::producerConsumer(256 * 1024, 400'000));
-    auto healthy = testing::platformAt(256.0);
-    auto doomed = healthy;
-    doomed.scenario.events.push_back(nodeFail(10.0, 0));
-
-    std::vector<sim::SimJob> jobs;
-    jobs.emplace_back(&bundle.traces, healthy);
-    jobs.emplace_back(&bundle.traces, doomed);
-    jobs.emplace_back(&bundle.traces, healthy);
-    jobs.emplace_back(&bundle.traces, healthy);
-    EXPECT_THROW(sim::simulateBatch(jobs, 2), scen::FailureError);
-}
-
 TEST(FailurePropagationTest, BandwidthSweepRethrowsFailureError)
 {
     const auto bundle = testing::traceOf(
@@ -928,6 +911,18 @@ TEST(ResilienceSweepTest, GridIsBitIdenticalAcrossThreadCounts)
     const auto variants = core::standardVariants();
     const auto serial =
         core::resilienceSweep(bundle, base, grid, variants, 4, 1, 1);
+    // Golden recorded before the campaign drivers shared one
+    // fan-out.
+    testing::Digest d;
+    d.add(serial.horizon);
+    for (const auto &point : serial.points) {
+        d.addReal(point.mtbfUs);
+        for (const auto &cell : point.cells)
+            testing::addCell(d, cell);
+    }
+    d.add(serial.stats);
+    testing::expectDigest(d.h, 0xdcc55a84f77807d6ULL,
+                          "resilienceSweep");
     for (const int threads : {2, 8}) {
         const auto parallel = core::resilienceSweep(
             bundle, base, grid, variants, 4, 1, threads);
@@ -1066,6 +1061,18 @@ TEST(ProtocolSweepTest, MachineWideFaultsFavorTheGlobalSlotAndStayDeterministic)
     const auto serial = core::protocolSweep(
         bundle, base, 2000.0, grid, protocols, 6, 1, 3000.0, 1);
     ASSERT_EQ(serial.rows.size(), 1u);
+    // Golden recorded before the campaign drivers shared one
+    // fan-out.
+    testing::Digest d;
+    d.add(serial.horizon);
+    for (const auto &row : serial.rows) {
+        d.addReal(row.bestIntervalUs);
+        d.addReal(row.dalyIntervalUs);
+        for (const auto &cell : row.cells)
+            testing::addCell(d, cell.cell);
+    }
+    testing::expectDigest(d.h, 0x49e1b3e6d9b12ceaULL,
+                          "protocolSweep");
     EXPECT_EQ(serial.machineMtbfUs, 3000.0);
     for (const auto &cell : serial.rows[0].cells)
         EXPECT_EQ(cell.cell.failedFraction, 0.0);

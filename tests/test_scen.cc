@@ -858,6 +858,14 @@ TEST(ScenSweepTest, DegradedSweepMatchesSequentialAcrossThreads)
     const auto sequential = core::degradedSweep(
         bundle, base, grid, variants, scenarios, 1);
     ASSERT_EQ(sequential.sweeps.size(), scenarios.size());
+    // Goldens recorded before the campaign drivers shared one
+    // fan-out.
+    const std::uint64_t goldens[] = {0xe24d2cb50799f86fULL,
+                                     0xafaa67bfe9fca1eaULL,
+                                     0xb3f0a97cfcf69394ULL};
+    for (std::size_t s = 0; s < scenarios.size(); ++s)
+        testing::expectDigest(testing::sweepDigest(sequential.sweeps[s]),
+                              goldens[s], scenarios[s].name);
     // The degraded scenarios actually bite: at least one sweep
     // point must be slower than its nominal twin.
     EXPECT_GT(sequential.sweeps[1].points[0].originalTime.ns(),
