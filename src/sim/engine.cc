@@ -1371,6 +1371,10 @@ Engine::postRecv(RankCtx &ctx, const PackedOp &op,
                   trace::channelTagOf(key));
         }
         matchTransfer(idx, req, ctx.now);
+        // A rendezvous transfer becomes eligible at the later of its
+        // two posts, which is this one; an eager one already is.
+        if (!transfers_[idx].has(tfEager))
+            makeEligible(idx, ctx.now);
     } else {
         std::uint32_t post_idx;
         if (recvPoolFree_ != npos32) {
@@ -1404,11 +1408,6 @@ Engine::matchTransfer(std::uint32_t idx, std::uint32_t recv_req,
         const SimTime done =
             t.arriveTime > post_time ? t.arriveTime : post_time;
         completeTransferRecv(idx, done);
-        return;
-    }
-    if (!t.has(tfEager) && !t.has(tfQueued) && !t.has(tfStarted)) {
-        // Rendezvous transfer becomes eligible at the match.
-        makeEligible(idx, post_time);
     }
 }
 

@@ -18,6 +18,12 @@
  *    background flows that drive the free counts negative, and a
  *    checkpoint rollback that restores non-empty wait queues.
  *
+ * The stencil and fan-in rows at eager thresholds 0 and 4 KiB, the
+ * reentrant rows with out/in links (1,0) and the rollback rows were
+ * re-recorded when a rendezvous send matching an earlier-posted
+ * receive stopped starting at the receive's post time; they start at
+ * the send's.
+ *
  * Each case compares totalTime and eventsProcessed directly and a
  * digest of everything else the admission order decides: per-rank
  * end, compute and blocked times, message counts, and the
@@ -167,80 +173,80 @@ constexpr std::size_t matrixCases = 3 * 4 * 3;
 
 /** Goldens per input, in (buses, links, eager) row-major order. */
 const Golden stencilGoldens[matrixCases] = {
-    {3486798, 992u, 0x8d758a0fd991a8dcULL},
-    {3486798, 992u, 0x8d758a0fd991a8dcULL},
+    {3668531, 992u, 0xc73784fcb9ab86f9ULL},
+    {3668531, 992u, 0xc73784fcb9ab86f9ULL},
     {3272361, 992u, 0x91062e4b81c6fef3ULL},
-    {3410715, 992u, 0x71db1d9b95ac180cULL},
-    {3410715, 992u, 0x71db1d9b95ac180cULL},
+    {3646044, 992u, 0x17e25e10905df9b8ULL},
+    {3646044, 992u, 0x17e25e10905df9b8ULL},
     {3660459, 992u, 0xe7c2314f7b44f8ecULL},
-    {3557192, 992u, 0xdef84bff6d51dfa3ULL},
-    {3557192, 992u, 0xdef84bff6d51dfa3ULL},
+    {3668531, 992u, 0x5d7498ad10822244ULL},
+    {3668531, 992u, 0x5d7498ad10822244ULL},
     {3704771, 992u, 0x98bbcaa01a9a9dfULL},
-    {3140552, 992u, 0xa6a15c39f8a70042ULL},
-    {3140552, 992u, 0xa6a15c39f8a70042ULL},
+    {3467877, 992u, 0xf677fcb7ab013b2dULL},
+    {3467877, 992u, 0xf677fcb7ab013b2dULL},
     {2831470, 992u, 0xf663ee9fe968bc5bULL},
-    {16861522, 992u, 0x42aa95d7847297c8ULL},
-    {16861522, 992u, 0x42aa95d7847297c8ULL},
+    {27810373, 992u, 0xd1d4bd8689d3c9e9ULL},
+    {27810373, 992u, 0xd1d4bd8689d3c9e9ULL},
     {27810036, 992u, 0xd1a70933b843114fULL},
-    {16861522, 992u, 0x42aa95d7847297c8ULL},
-    {16861522, 992u, 0x42aa95d7847297c8ULL},
+    {27810373, 992u, 0xd1d4bd8689d3c9e9ULL},
+    {27810373, 992u, 0xd1d4bd8689d3c9e9ULL},
     {27810036, 992u, 0xd1a70933b843114fULL},
-    {16861522, 992u, 0x42aa95d7847297c8ULL},
-    {16861522, 992u, 0x42aa95d7847297c8ULL},
+    {27810373, 992u, 0xd1d4bd8689d3c9e9ULL},
+    {27810373, 992u, 0xd1d4bd8689d3c9e9ULL},
     {27810036, 992u, 0xd1a70933b843114fULL},
-    {16861522, 992u, 0x42aa95d7847297c8ULL},
-    {16861522, 992u, 0x42aa95d7847297c8ULL},
+    {27810373, 992u, 0xd1d4bd8689d3c9e9ULL},
+    {27810373, 992u, 0xd1d4bd8689d3c9e9ULL},
     {27810036, 992u, 0xd1a70933b843114fULL},
-    {8105451, 992u, 0x84325257f74a95bcULL},
-    {8105451, 992u, 0x84325257f74a95bcULL},
+    {9411269, 992u, 0x8245944cfcd0ee8eULL},
+    {9411269, 992u, 0x8245944cfcd0ee8eULL},
     {9386373, 992u, 0xf3476b6854ec6efeULL},
-    {7906951, 992u, 0xf0a03b11ce5f3a36ULL},
-    {7906951, 992u, 0xf0a03b11ce5f3a36ULL},
+    {9411269, 992u, 0x8b574148846160baULL},
+    {9411269, 992u, 0x8b574148846160baULL},
     {9381565, 992u, 0x4cebdd79551b0beULL},
-    {8451971, 992u, 0x7edf0adeb8564ac8ULL},
-    {8451971, 992u, 0x7edf0adeb8564ac8ULL},
+    {9411269, 992u, 0xb48f1758c0e21671ULL},
+    {9411269, 992u, 0xb48f1758c0e21671ULL},
     {9386036, 992u, 0xe0be6db615d966d7ULL},
-    {8386951, 992u, 0x64633564e9583f9dULL},
-    {8386951, 992u, 0x64633564e9583f9dULL},
+    {9411269, 992u, 0xacbfc0bc94fc2e91ULL},
+    {9411269, 992u, 0xacbfc0bc94fc2e91ULL},
     {9386373, 992u, 0xc49b59aeb541af48ULL},
 };
 
 const Golden fanInGoldens[matrixCases] = {
-    {10806750, 718u, 0x4283d83ea9a8fb92ULL},
-    {5280000, 718u, 0x283b9e76aba03a70ULL},
+    {13252750, 718u, 0xe1bdbf4b3323eda1ULL},
+    {12760000, 718u, 0x1b9806512fd974beULL},
     {7354000, 718u, 0x632ce40026615d9aULL},
-    {16768000, 718u, 0x14249ad5d80397ebULL},
-    {15818000, 718u, 0x31c2c27783612c63ULL},
+    {17196000, 718u, 0x44ec6b89129ebc1fULL},
+    {17124000, 718u, 0x69a7f7127c213b1ULL},
     {16782000, 718u, 0x17e94ba360a04ecbULL},
-    {16744000, 718u, 0xf6b5fd3b00102accULL},
-    {15818000, 718u, 0x7f50612452c7636ULL},
+    {17246000, 718u, 0x7c985f7b91778834ULL},
+    {17124000, 718u, 0x1fcc27250f8004fbULL},
     {16782000, 718u, 0x8340c312fd07b533ULL},
-    {10226750, 718u, 0x61638bad6a6b2f61ULL},
-    {4368000, 718u, 0x199bc23bf0b4f89dULL},
+    {12678750, 718u, 0x7a6f4237b4e6bfe6ULL},
+    {12206000, 718u, 0x7d038ad431321f89ULL},
     {8882000, 718u, 0xfbd4611cf8889115ULL},
-    {23804000, 718u, 0x9682ab54f63f7f8eULL},
-    {23584000, 718u, 0x7f7dbe312ef91658ULL},
+    {26298750, 718u, 0xf45d95c3d422110cULL},
+    {24244000, 718u, 0xde6f31b513247efaULL},
     {24116000, 718u, 0x24ffcf7716f7303bULL},
-    {23804000, 718u, 0x9682ab54f63f7f8eULL},
-    {23584000, 718u, 0x7f7dbe312ef91658ULL},
+    {26298750, 718u, 0xf45d95c3d422110cULL},
+    {24244000, 718u, 0xde6f31b513247efaULL},
     {24116000, 718u, 0x24ffcf7716f7303bULL},
-    {23804000, 718u, 0x9682ab54f63f7f8eULL},
-    {23584000, 718u, 0x7f7dbe312ef91658ULL},
+    {26298750, 718u, 0xf45d95c3d422110cULL},
+    {24244000, 718u, 0xde6f31b513247efaULL},
     {24116000, 718u, 0x24ffcf7716f7303bULL},
-    {23804000, 718u, 0x9682ab54f63f7f8eULL},
-    {23584000, 718u, 0x7f7dbe312ef91658ULL},
+    {26298750, 718u, 0xf45d95c3d422110cULL},
+    {24244000, 718u, 0xde6f31b513247efaULL},
     {24116000, 718u, 0x24ffcf7716f7303bULL},
-    {10806750, 718u, 0x4283d83ea9a8fb92ULL},
-    {5280000, 718u, 0xb1684e30b94eed5bULL},
+    {13252750, 718u, 0xe1bdbf4b3323eda1ULL},
+    {12760000, 718u, 0x1b9806512fd974beULL},
     {8770000, 718u, 0x2c183f509ab17b37ULL},
-    {16768000, 718u, 0x14249ad5d80397ebULL},
-    {15818000, 718u, 0x23396d9398ed30ULL},
+    {17196000, 718u, 0x44ec6b89129ebc1fULL},
+    {17124000, 718u, 0x69a7f7127c213b1ULL},
     {16782000, 718u, 0x17e94ba360a04ecbULL},
-    {16744000, 718u, 0xf6b5fd3b00102accULL},
-    {15818000, 718u, 0x7f50612452c7636ULL},
+    {17246000, 718u, 0x7c985f7b91778834ULL},
+    {17124000, 718u, 0x1fcc27250f8004fbULL},
     {16782000, 718u, 0x8340c312fd07b533ULL},
-    {10226750, 718u, 0x61638bad6a6b2f61ULL},
-    {4368000, 718u, 0xe78ef5902a035c40ULL},
+    {12678750, 718u, 0x7a6f4237b4e6bfe6ULL},
+    {12206000, 718u, 0xabee9094d78dd455ULL},
     {9164000, 718u, 0xbed70c78941b3898ULL},
 };
 
@@ -365,10 +371,10 @@ reentrantTrace(Bytes rank4_bytes)
 
 const Golden reentrantGoldens[6] = {
     {7820500, 14u, 0x4656e9dc4efa29c7ULL},
-    {7820500, 14u, 0xa0327ac3e6330b53ULL},
+    {7820500, 14u, 0x4734cbde3e3f7a4bULL},
     {7820500, 14u, 0x4656e9dc4efa29c7ULL},
     {11726750, 14u, 0x2248a5f33bbf76dULL},
-    {7820500, 14u, 0x361b407a7885f735ULL},
+    {7820500, 14u, 0xa15af4c80514c1fdULL},
     {11726750, 14u, 0x2248a5f33bbf76dULL},
 };
 
@@ -471,8 +477,8 @@ fanInRounds()
 }
 
 const Golden rollbackGoldens[2] = {
-    {22461823, 91u, 0xa6dceee621ed2cbcULL},
-    {22461823, 91u, 0xa6dceee621ed2cbcULL},
+    {22471823, 91u, 0x64aba8ae94e4ab2bULL},
+    {22471823, 91u, 0x64aba8ae94e4ab2bULL},
 };
 
 TEST(BusAdmissionTest, RollbackRestoresNonEmptyNodeQueues)

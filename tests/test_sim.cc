@@ -182,6 +182,34 @@ TEST(EngineTest, IrecvWaitCompletesAtArrival)
     EXPECT_EQ(result.perRank[0].messagesReceived, 1u);
 }
 
+TEST(EngineTest, RendezvousAfterPostedReceiveStartsAtTheSend)
+{
+    // The receive posts first; the rendezvous transfer may start
+    // only once the send posts too, 2 ms later.
+    TraceSet traces("t", 2);
+    auto &r0 = traces.rankTrace(0);
+    r0.append(IRecvRec{1, 1, 1'000'000, 1, 20});
+    r0.append(WaitRec{20});
+    auto &r1 = traces.rankTrace(1);
+    r1.append(CpuBurst{2'000'000});
+    r1.append(SendRec{0, 1, 1'000'000, 1});
+
+    auto platform = platforms::defaultCluster();
+    platform.eagerThreshold = 0;
+    platform.bandwidthMBps = 2048.0;
+    const auto result = simulate(traces, platform);
+    const auto ser = serNs(1'000'000, 2048.0);
+    EXPECT_EQ(result.perRank[0].endTime.ns(),
+              2'000'000 + ser + latNs);
+    EXPECT_EQ(result.perRank[1].endTime.ns(), 2'000'000 + ser);
+    EXPECT_EQ(result.perRank[1].sendBlockedTime.ns(), ser);
+    for (const auto &rank : result.perRank) {
+        EXPECT_GE(rank.sendBlockedTime.ns(), 0);
+        EXPECT_GE(rank.recvBlockedTime.ns(), 0);
+        EXPECT_GE(rank.waitBlockedTime.ns(), 0);
+    }
+}
+
 TEST(EngineTest, UnexpectedMessageMatchesLateRecv)
 {
     TraceSet traces("t", 2);
