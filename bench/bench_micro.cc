@@ -272,15 +272,7 @@ taperedFatTree4096()
 }
 
 /** The standard real-pattern 16-chunk overlap variant. */
-core::TransformConfig
-real16()
-{
-    core::TransformConfig config;
-    config.pattern = core::PatternModel::real;
-    config.mechanism = core::Mechanism::both;
-    config.chunks = 16;
-    return config;
-}
+const core::TransformConfig real16 = core::standardVariants(16)[0].config;
 
 /** The figure table, in trajectory order. */
 const Figure figures[] = {
@@ -325,7 +317,7 @@ const Figure figures[] = {
          auto bundle = std::make_shared<const tracer::TraceBundle>(
              traceApp("sweep3d", 8));
          sink = core::buildOverlappedTrace(bundle->traces,
-                                           bundle->overlap, real16())
+                                           bundle->overlap, real16)
                     .totalChunks;
          Setup setup;
          setup.config = "sweep3d-x8/transform-real16";
@@ -333,7 +325,7 @@ const Figure figures[] = {
              {"records", count(bundle->traces.totalRecords())}};
          setup.work = [bundle]() -> std::uint64_t {
              const auto result = core::buildOverlappedTrace(
-                 bundle->traces, bundle->overlap, real16());
+                 bundle->traces, bundle->overlap, real16);
              sink = result.totalChunks;
              return bundle->traces.totalRecords();
          };
@@ -514,7 +506,7 @@ const Figure figures[] = {
      [](int) {
          const auto bundle = traceApp("sweep3d", 8);
          const auto variant = core::buildOverlappedTrace(
-             bundle.traces, bundle.overlap, real16());
+             bundle.traces, bundle.overlap, real16);
          auto replay = replayOf(variant.traces, flatBus4096());
          const auto warmup = replay->run();
          return replaySetup(
