@@ -40,7 +40,7 @@
  *    protocolSweep's swept optimal interval lands within one grid
  *    step of res::dalyInterval's analytic prediction,
  *  - FailureError propagates through bandwidthSweep without
- *    wedging the thread pool (satellite: failure propagation).
+ *    wedging the thread pool.
  */
 
 #include <gtest/gtest.h>
