@@ -3,7 +3,8 @@
 # TSAN-labeled parallel subset, each in its own build tree so the
 # sanitizer toggles never contaminate the normal configuration.
 #
-#   1. tier-1:  default Release-ish build, full ctest suite
+#   1. tier-1:  Release build with -Werror (the whole tree builds
+#               warning-free under -Wall -Wextra), full ctest suite
 #   2. ASAN:    OVLSIM_ASAN build, full ctest suite
 #   3. UBSAN:   OVLSIM_UBSAN build, full ctest suite (signed
 #               overflow and friends in the event/cost arithmetic)
@@ -45,7 +46,7 @@ stage() { # name cmake-extra-args...
 }
 
 echo "== dev_check: stage 1/4 tier-1 =="
-stage tier1 -DCMAKE_BUILD_TYPE=Release
+stage tier1 -DCMAKE_BUILD_TYPE=Release -DCMAKE_CXX_FLAGS=-Werror
 (cd "$PREFIX-tier1" && ctest --output-on-failure -j "$JOBS")
 
 if [[ "$FAST" == 1 ]]; then

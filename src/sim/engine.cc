@@ -11,6 +11,7 @@
 #include "obs/stats.hh"
 #include "net/topology.hh"
 #include "scen/scenario.hh"
+#include "sim/flat_bus.hh"
 #include "sim/program.hh"
 #include "trace/record.hh"
 #include "util/dary_heap.hh"
@@ -161,32 +162,6 @@ struct Transfer
 
 static_assert(sizeof(Transfer) <= 56);
 
-/**
- * One transfer waiting for flat-bus resources, pooled in
- * Engine::waitPool_ so that only transfers that actually wait cost
- * memory. Side 0 links it into the out-queue of its source node, or
- * into the single bus FIFO when buses are limited; side 1 into the
- * in-queue of its destination node. queue[side] is that queue's id
- * (npos32 when the side has no limited resource) and prev/next are
- * pool indices. `seq` is the admission order, which merges the two
- * queues of a release. Free entries are threaded through next[0].
- */
-struct Waiter
-{
-    std::uint32_t transfer = npos32;
-    std::uint32_t seq = 0;
-    std::uint32_t queue[2] = {npos32, npos32};
-    std::uint32_t prev[2] = {npos32, npos32};
-    std::uint32_t next[2] = {npos32, npos32};
-};
-
-/** Head and tail of one wait queue of pooled Waiters. */
-struct WaitQueue
-{
-    std::uint32_t head = npos32;
-    std::uint32_t tail = npos32;
-};
-
 /** Timeline-only transfer details (parallel to the transfer arena). */
 struct TransferMeta
 {
@@ -196,7 +171,7 @@ struct TransferMeta
     Tag tag = 0;
 };
 
-/** An unmatched posted receive, pooled in Engine::recvPool_. */
+/** An unmatched posted receive, pooled in MachineState::recvPool. */
 struct RecvPost
 {
     std::uint32_t req = noRequest;
@@ -295,6 +270,109 @@ struct CollExec
 };
 
 /**
+ * Everything a checkpoint images and a rollback restores: the
+ * pending events, the ranks, every transfer and matching queue, the
+ * collective barriers and schedule executions, the flat bus and the
+ * scenario cursor. It is one value, so a snapshot is one copy and a
+ * restore is one copy back, and a field added here is covered by
+ * both. What stays in Engine is per-run configuration, pure caches
+ * (memoized conversions, compiled routes and schedules) or state
+ * that must survive rollbacks: the stats, the processed-event
+ * count, the timeline (rollbacks splice it instead) and the
+ * consumed-failure marks. The link network is imaged beside this
+ * value because it keeps its own cancel/restore protocol.
+ */
+struct MachineState
+{
+    DaryHeap<Event, 4, std::greater<Event>> events;
+    std::uint32_t nextSeq = 0;
+
+    std::vector<RankCtx> ranks;
+
+    /** Transfer arena; indices are stable, growth is amortized. */
+    std::vector<Transfer> transfers;
+
+    /** Pool backing the per-channel unmatched-receive lists. */
+    std::vector<RecvPost> recvPool;
+    std::uint32_t recvPoolFree = npos32;
+
+    /** (src, dst, tag) -> unmatched send/receive FIFOs. */
+    FlatMap<ChannelKey, ChannelQueue> channels;
+
+    std::vector<Barrier> barriers;
+
+    /** Flat-bus admission; empty on the link network. */
+    FlatBus bus;
+
+    int doneRanks = 0;
+
+    /**
+     * Scenario cursor. scenActive marks events whose effect is
+     * currently live (and doubles as the in-flight flag of
+     * background flows); on the link network linkLatScale carries
+     * the per-link latency multiplier that the capacity-only
+     * LinkNetwork cannot. The stream fires strictly in index order
+     * (each handler arms its successor), so scenNextIdx — the index
+     * of the next event to fire — says which events are history
+     * (i < scenNextIdx) and which are pending. Under checkpointing
+     * pending events live in the heap at their compiled time plus
+     * scenShift, the accumulated uniform shift of every freeze and
+     * rollback, so the flat-bus pricing can place pending
+     * stall/degrade windows in effective time.
+     */
+    std::vector<std::uint8_t> scenActive;
+    std::vector<double> linkLatScale;
+    std::uint32_t scenNextIdx = 0;
+    SimTime scenShift;
+
+    /**
+     * Pooled algorithmic-collective executions. Acquire
+     * re-initializes a slot, so the pool outlives runs and sessions
+     * replay with warmed-up arrays.
+     */
+    std::vector<CollExec> collExecs;
+    std::vector<std::uint32_t> collExecFree;
+
+    void clear(std::size_t nranks);
+};
+
+/**
+ * Return to the state of a fresh engine while keeping every
+ * allocation (request registers and the CollExec pool included), so
+ * a session's next replay starts from warmed-up arenas. The
+ * session-reuse determinism tests guard this.
+ */
+void
+MachineState::clear(std::size_t nranks)
+{
+    events.clear();
+    nextSeq = 0;
+    ranks.resize(nranks);
+    for (auto &ctx : ranks) {
+        auto regs = std::move(ctx.regs);
+        ctx = RankCtx{};
+        ctx.regs = std::move(regs);
+    }
+    transfers.clear();
+    recvPool.clear();
+    recvPoolFree = npos32;
+    channels.clear();
+    barriers.clear();
+    bus.clear();
+    doneRanks = 0;
+    scenActive.clear();
+    linkLatScale.clear();
+    scenNextIdx = 0;
+    scenShift = SimTime::zero();
+    // Every pooled CollExec is free at the start of a run (a
+    // previous run that threw may have left some marked busy).
+    collExecFree.clear();
+    for (std::uint32_t i = 0;
+         i < static_cast<std::uint32_t>(collExecs.size()); ++i)
+        collExecFree.push_back(i);
+}
+
+/**
  * The replay engine proper. Default-constructed once (per session or
  * per simulate() call) and reused: run() resets every container to
  * its empty state while keeping the allocations, so back-to-back
@@ -329,15 +407,7 @@ class Engine
                   std::uint32_t req);
     void matchTransfer(std::uint32_t idx, std::uint32_t recv_req,
                        SimTime post_time);
-    bool tryAcquireResources(const Transfer &transfer);
     void makeEligible(std::uint32_t idx, SimTime t);
-    std::uint32_t waitQueueOf(int side, std::size_t src_node,
-                              std::size_t dst_node) const;
-    bool waitQueueExhausted(int side, std::uint32_t q) const;
-    void enqueueWaiter(std::uint32_t idx);
-    void unlinkWaiter(std::uint32_t w);
-    void noteRelease(std::size_t src_node, std::size_t dst_node);
-    void startReleasedWaiters(SimTime t);
     void startTransfer(std::uint32_t idx, SimTime t);
     void handleInjected(std::uint32_t idx, SimTime t);
     void handleNetInjected(std::uint32_t idx, SimTime t);
@@ -376,30 +446,24 @@ class Engine
 
     /** Checkpoint/restart seam (see handleCheckpoint). */
     void handleCheckpoint(std::uint32_t level, SimTime t);
-    void freezeMachine(SimTime cost);
+    void shiftMachine(SimTime by);
     void takeSnapshot(SimTime anchor);
     void restartFromCheckpoint(std::uint32_t i, SimTime t);
-
-    bool
-    busesLimited() const
-    {
-        return platform_.buses > 0;
-    }
-    bool
-    outLimited() const
-    {
-        return platform_.outLinksPerNode > 0;
-    }
-    bool
-    inLimited() const
-    {
-        return platform_.inLinksPerNode > 0;
-    }
 
     std::uint32_t
     nodeOf(Rank r) const
     {
         return nodeOf_[static_cast<std::size_t>(r)];
+    }
+
+    /** Close the flat bus's release window (see FlatBus), starting
+     * every waiter it admits. */
+    void
+    startReleasedWaiters(SimTime t)
+    {
+        m_.bus.startReleased(stats_, [this, t](std::uint32_t idx) {
+            startTransfer(idx, t);
+        });
     }
 
     /**
@@ -466,34 +530,19 @@ class Engine
      * cost paths bit-identical to the scenario-free engine; true
      * merges the compiled event stream (compiled per run — the
      * lists are tiny) into the heap: one scenario event is armed at
-     * a time and its handler chains the next. scenActive_ marks
-     * events whose effect is currently live (and doubles as the
-     * in-flight flag of background flows); on the LinkNetwork path
-     * linkLatScale_ carries the per-link latency multiplier that
-     * the capacity-only LinkNetwork cannot.
+     * a time and its handler chains the next. The live side of the
+     * stream is the scenario cursor of MachineState.
      */
     bool scenMode_ = false;
     scen::CompiledScenario scenario_;
-    std::vector<std::uint8_t> scenActive_;
-    std::vector<double> linkLatScale_;
 
     /**
-     * Scenario bookkeeping the checkpoint seam needs. The stream
-     * fires strictly in index order (each handler arms its
-     * successor), so scenNextIdx_ — the index of the next event to
-     * fire — says which events are history (i < scenNextIdx_) and
-     * which are pending. Under ckptMode_ pending events live in the
-     * heap at their compiled time plus scenShift_, the accumulated
-     * uniform shift of every freeze and rollback, so the flat-bus
-     * pricing can place pending stall/degrade windows in effective
-     * time. scenConsumed_ marks fail-stop events whose rollback was
-     * already paid; it deliberately survives rollbacks (it is not
-     * part of the snapshot) — a consumed failure replayed out of
-     * the restored heap re-fires as a no-op that just chains its
-     * successor, so one fault never charges two restarts.
+     * Fail-stop events whose rollback was already paid. It
+     * deliberately survives rollbacks (it is not part of the
+     * snapshot): a consumed failure replayed out of the restored
+     * heap re-fires as a no-op that just chains its successor, so
+     * one fault never charges two restarts.
      */
-    std::uint32_t scenNextIdx_ = 0;
-    SimTime scenShift_;
     std::vector<std::uint8_t> scenConsumed_;
 
     /**
@@ -503,10 +552,11 @@ class Engine
      * coordinated-checkpoint chain whose handler freezes the whole
      * machine for ckptCost_ per checkpoint and snapshots it, and
      * reroutes fail-stop scenario events from FailureError into a
-     * rollback to the last snapshot plus restartCost_. Features
-     * whose state the snapshot does not cover (timeline capture,
-     * algorithmic collectives, non-fail-stop scenario events) are
-     * rejected at run() start.
+     * rollback to the last snapshot plus restartCost_. The
+     * snapshot covers every feature, so timeline capture,
+     * algorithmic collectives and every scenario event kind replay
+     * under it; the only run()-start rejection is an interval that
+     * rounds to zero simulated time.
      */
     bool ckptMode_ = false;
     SimTime ckptInterval_;
@@ -525,42 +575,14 @@ class Engine
     /**
      * Machine image captured between two events at the last
      * checkpoint (and once at t = 0 before the event loop, so a
-     * failure before the first checkpoint restarts from scratch).
-     * Every member mirrors its engine counterpart; pure caches
-     * (memoized conversions, compiled routes/schedules), the
-     * timeline (rollbacks splice it instead — wasted work is
-     * recorded history, see restartFromCheckpoint) and the
-     * consumed-failure marks (which must survive rollbacks) are
-     * deliberately absent.
+     * failure before the first checkpoint restarts from scratch):
+     * the machine state plus, on the link network, the network.
      */
     struct Snapshot
     {
         SimTime anchor;
-        DaryHeap<Event, 4, std::greater<Event>> events;
-        std::uint32_t nextSeq = 0;
-        std::vector<RankCtx> ranks;
-        std::vector<Transfer> transfers;
-        std::vector<RecvPost> recvPool;
-        std::uint32_t recvPoolFree = npos32;
-        std::vector<Waiter> waitPool;
-        std::uint32_t waitPoolFree = npos32;
-        std::vector<WaitQueue> waitQueues[2];
-        std::uint32_t waitSeq = 0;
-        std::uint32_t waiting = 0;
-        std::uint32_t released[2] = {npos32, npos32};
-        FlatMap<ChannelKey, ChannelQueue> channels;
-        std::vector<Barrier> barriers;
-        int busFree = 0;
-        std::vector<int> outFree;
-        std::vector<int> inFree;
-        int doneRanks = 0;
+        MachineState state;
         net::LinkNetwork network;
-        std::vector<std::uint8_t> scenActive;
-        std::vector<double> linkLatScale;
-        std::uint32_t scenNextIdx = 0;
-        SimTime scenShift;
-        std::vector<CollExec> collExecs;
-        std::vector<std::uint32_t> collExecFree;
     };
     Snapshot snapshot_;
     /** Image of the last global-level checkpoint (two-level mode;
@@ -591,8 +613,8 @@ class Engine
     Bytes lastSerBytes_[2] = {0, 0};
     SimTime lastSerDelay_[2];
 
-    DaryHeap<Event, 4, std::greater<Event>> events_;
-    std::uint32_t nextSeq_ = 0;
+    /** The machine: everything a rollback restores. */
+    MachineState m_;
     std::uint64_t processed_ = 0;
 
     /**
@@ -604,87 +626,25 @@ class Engine
      */
     int broadcastPending_ = 0;
 
-    std::vector<RankCtx> ranks_;
     /** Pre-computed node of each rank (avoids a division per use). */
     std::vector<std::uint32_t> nodeOf_;
 
-    /** Transfer arena; indices are stable, growth is amortized. */
-    std::vector<Transfer> transfers_;
-    /** Timeline-only fields, parallel to transfers_ (capture only). */
+    /** Timeline-only fields, parallel to m_.transfers (capture only). */
     std::vector<TransferMeta> txMeta_;
 
-    /** Pool backing the per-channel unmatched-receive lists. */
-    std::vector<RecvPost> recvPool_;
-    std::uint32_t recvPoolFree_ = npos32;
-
     /**
-     * Flat-bus wait queue, indexed by the resource a waiter needs.
-     *
-     * A remote transfer that cannot acquire its bus and links waits
-     * in FIFO (admission) order. With buses limited there is one
-     * FIFO, waitQueues_[0][0]. Otherwise a waiter is linked into the
-     * out-queue of its source node (waitQueues_[0], when out-links
-     * are limited) and into the in-queue of its destination node
-     * (waitQueues_[1], when in-links are limited). The entries, with
-     * their links and admission sequence numbers, live in waitPool_.
-     *
-     * Invariant: outside a release window every waiter is stuck,
-     * i.e. some resource it needs has no free unit. A release (an
-     * injection or a background flow finishing) records the queues
-     * of what it freed in released_, and startReleasedWaiters then
-     * walks only those queues — merged by sequence number, each
-     * walk stopping once its resource is exhausted again, which
-     * every later waiter of that queue needs — starting every
-     * waiter that can now acquire. This starts exactly the
-     * transfers, in exactly the order, that a scan of the whole FIFO
-     * would: a waiter that needs none of the released resources was
-     * stuck before the release and stays stuck, because a scan only
-     * shrinks capacity; and visiting the remaining candidates in
-     * admission order is the whole-FIFO order restricted to the
-     * waiters that can start. A transfer posted inside the window
-     * (a woken rank re-entering postSend) is newer than every
-     * waiter, so it is tried after the scan — the place FIFO gives
-     * it — and queued only if it is stuck.
-     *
-     * A waiter that starts leaves both of its queues at once (they
-     * are doubly linked). `waiting_` counts the waiters for the
-     * depth gauge.
-     */
-    std::vector<Waiter> waitPool_;
-    std::uint32_t waitPoolFree_ = npos32;
-    std::vector<WaitQueue> waitQueues_[2];
-    std::uint32_t waitSeq_ = 0;
-    std::uint32_t waiting_ = 0;
-    /** Queue ids (per side) of the pending release, or npos32. */
-    std::uint32_t released_[2] = {npos32, npos32};
-
-    /** (src, dst, tag) -> unmatched send/receive FIFOs. */
-    FlatMap<ChannelKey, ChannelQueue> channels_;
-
-    std::vector<Barrier> barriers_;
-
-    /**
-     * Algorithmic-collective state. collSched_ holds one shared
-     * compiled schedule per program collective, resolved once per
-     * (program collectives, rank count, algorithm pins) and cached
-     * across replays — a bandwidth sweep resolves its schedules
-     * once, like the compiled-topology cache. The CollExec pool is
-     * engine-lifetime; acquire re-initializes, so sessions replay
-     * with warmed-up arrays.
+     * Algorithmic-collective schedules: one shared compiled
+     * schedule per program collective, resolved once per (program
+     * collectives, rank count, algorithm pins) and cached across
+     * replays — a bandwidth sweep resolves its schedules once, like
+     * the compiled-topology cache.
      */
     bool algorithmic_ = false;
     std::vector<std::shared_ptr<const coll::Schedule>> collSched_;
     std::vector<CollectiveSpec> collSchedKey_;
     int collSchedRanks_ = -1;
     coll::AlgorithmOverrides collSchedPins_;
-    std::vector<CollExec> collExecs_;
-    std::vector<std::uint32_t> collExecFree_;
 
-    int busFree_ = 0;
-    std::vector<int> outFree_;
-    std::vector<int> inFree_;
-
-    int doneRanks_ = 0;
     Timeline timeline_;
 
     /**
@@ -692,7 +652,7 @@ class Engine
      * increments on the paths they watch, zeroed per run, copied
      * into SimResult::stats at the end. Monotone across rollbacks
      * — rework is precisely what they exist to expose — so they
-     * are NOT part of Snapshot.
+     * are NOT part of MachineState.
      */
     obs::EngineStats stats_;
 };
@@ -703,8 +663,8 @@ Engine::schedule(SimTime t, EventKind kind, std::uint32_t target)
     ovlAssert(target <= Event::targetMask,
               "event target overflows the packed representation");
     ++stats_.heapPushes;
-    events_.push(Event{
-        t, nextSeq_++,
+    m_.events.push(Event{
+        t, m_.nextSeq++,
         (static_cast<std::uint32_t>(kind) << Event::kindShift) |
             target});
 }
@@ -724,60 +684,18 @@ Engine::countEvent()
 }
 
 /**
- * Return every container to its empty state while keeping its
- * allocation, so a session's next replay starts from warmed-up
- * arenas. Must leave the engine indistinguishable (results-wise)
- * from a freshly constructed one; the session-reuse determinism
- * tests guard this.
+ * Return the engine to the state of a fresh one, keeping every
+ * allocation (see MachineState::clear).
  */
 void
 Engine::reset()
 {
-    events_.clear();
-    nextSeq_ = 0;
+    m_.clear(static_cast<std::size_t>(nranks_));
     processed_ = 0;
     broadcastPending_ = 0;
-    ranks_.resize(static_cast<std::size_t>(nranks_));
-    for (auto &ctx : ranks_) {
-        ctx.kinds = nullptr;
-        ctx.ops = nullptr;
-        ctx.pc = 0;
-        ctx.end = 0;
-        ctx.now = SimTime::zero();
-        ctx.blocked = false;
-        ctx.done = false;
-        ctx.blockState = RankState::idle;
-        ctx.blockStart = SimTime::zero();
-        ctx.liveRegs = 0;
-        ctx.awaitingCount = 0;
-        ctx.blockingRecvDone = false;
-        ctx.awaitingBlockingRecv = false;
-        ctx.result = RankResult{};
-    }
-    transfers_.clear();
     txMeta_.clear();
-    recvPool_.clear();
-    recvPoolFree_ = npos32;
-    waitPool_.clear();
-    waitPoolFree_ = npos32;
-    waitQueues_[0].clear();
-    waitQueues_[1].clear();
-    waitSeq_ = 0;
-    waiting_ = 0;
-    released_[0] = released_[1] = npos32;
-    channels_.clear();
-    barriers_.clear();
-    // Every pooled CollExec is free at the start of a run (a
-    // previous run that threw may have left some marked busy).
-    collExecFree_.clear();
-    for (std::uint32_t i = 0;
-         i < static_cast<std::uint32_t>(collExecs_.size()); ++i)
-        collExecFree_.push_back(i);
-    doneRanks_ = 0;
     checkpointsTaken_ = 0;
     restarts_ = 0;
-    scenNextIdx_ = 0;
-    scenShift_ = SimTime::zero();
     scenConsumed_.clear();
     lastBurstInstr_ = 0;
     lastBurstDur_ = SimTime::zero();
@@ -805,13 +723,12 @@ Engine::run(const ReplayProgram &program,
         nodeOf_[static_cast<std::size_t>(r)] =
             static_cast<std::uint32_t>(r / platform_.cpusPerNode);
     }
-    busFree_ = platform_.buses;
-    outFree_.assign(static_cast<std::size_t>(nodes),
-                    platform_.outLinksPerNode);
-    inFree_.assign(static_cast<std::size_t>(nodes),
-                   platform_.inLinksPerNode);
     netMode_ = !platform_.topology.isFlat();
-    if (netMode_) {
+    if (!netMode_) {
+        m_.bus.configure(platform_.buses, platform_.outLinksPerNode,
+                         platform_.inLinksPerNode,
+                         static_cast<std::size_t>(nodes));
+    } else {
         // Compile-once seam: the route table depends only on the
         // topology description and the node count, so back-to-back
         // replays (bandwidth sweeps, bisections) reuse it.
@@ -842,9 +759,9 @@ Engine::run(const ReplayProgram &program,
         scenario_ = scen::compileScenario(
             platform_.scenario, netMode_ ? &topo_ : nullptr,
             nodes);
-        scenActive_.assign(scenario_.eventCount(), 0);
+        m_.scenActive.assign(scenario_.eventCount(), 0);
         if (netMode_)
-            linkLatScale_.assign(topo_.linkCount(), 1.0);
+            m_.linkLatScale.assign(topo_.linkCount(), 1.0);
     }
     capture_ = platform_.captureTimeline;
     if (capture_)
@@ -872,12 +789,9 @@ Engine::run(const ReplayProgram &program,
             coll_sends += sched->sendCount();
     }
 
-    // Checkpoint/restart seam: snapshots capture the whole machine
-    // between events — in-flight transfers and collective schedule
-    // cursors, link capacity modifiers and stalled/parked flows,
-    // background traffic, the scenario and checkpoint chains
-    // themselves — so any scenario/collective/capture combination
-    // replays under a positive interval.
+    // Checkpoint/restart seam: a snapshot is the whole MachineState
+    // plus the link network, so every feature combination replays
+    // under a positive interval.
     ckptMode_ = platform_.checkpointing();
     if (ckptMode_) {
         ckptInterval_ =
@@ -914,23 +828,10 @@ Engine::run(const ReplayProgram &program,
     // through its free list, so it only ever holds the maximum
     // number of simultaneously unmatched receives — usually a tiny
     // fraction of the total.
-    transfers_.reserve(program.totalSends() + coll_sends);
+    m_.transfers.reserve(program.totalSends() + coll_sends);
     if (capture_)
         txMeta_.reserve(program.totalSends() + coll_sends);
-    // Flat-bus wait queues (see waitPool_).
-    if (!netMode_) {
-        if (busesLimited()) {
-            waitQueues_[0].assign(1, WaitQueue{});
-        } else {
-            if (outLimited())
-                waitQueues_[0].assign(static_cast<std::size_t>(nodes),
-                                      WaitQueue{});
-            if (inLimited())
-                waitQueues_[1].assign(static_cast<std::size_t>(nodes),
-                                      WaitQueue{});
-        }
-    }
-    events_.reserve(static_cast<std::size_t>(nranks) * 4 + 256);
+    m_.events.reserve(static_cast<std::size_t>(nranks) * 4 + 256);
     // Scale the channel table with the program so big replays do
     // not pay rehash churn.
     std::size_t chan_guess = program.totalOps() / 8;
@@ -938,12 +839,12 @@ Engine::run(const ReplayProgram &program,
         chan_guess = 256;
     if (chan_guess > (1u << 16))
         chan_guess = 1u << 16;
-    channels_.reserve(chan_guess);
+    m_.channels.reserve(chan_guess);
 
-    barriers_.assign(program.collectives().size(), Barrier{});
+    m_.barriers.assign(program.collectives().size(), Barrier{});
 
     for (Rank r = 0; r < nranks; ++r) {
-        auto &ctx = ranks_[static_cast<std::size_t>(r)];
+        auto &ctx = m_.ranks[static_cast<std::size_t>(r)];
         ctx.rank = r;
         ctx.kinds = program.kindsOf(r);
         ctx.ops = program.opsOf(r);
@@ -972,9 +873,9 @@ Engine::run(const ReplayProgram &program,
             snapshotGlobal_ = snapshot_;
     }
 
-    while (!events_.empty()) {
-        const Event ev = events_.top();
-        events_.pop();
+    while (!m_.events.empty()) {
+        const Event ev = m_.events.top();
+        m_.events.pop();
         ++stats_.heapPops;
         countEvent();
 
@@ -1003,19 +904,19 @@ Engine::run(const ReplayProgram &program,
         }
     }
 
-    if (doneRanks_ < nranks)
+    if (m_.doneRanks < nranks)
         reportDeadlock();
 
     SimResult result;
-    result.perRank.reserve(ranks_.size());
-    for (auto &ctx : ranks_) {
+    result.perRank.reserve(m_.ranks.size());
+    for (auto &ctx : m_.ranks) {
         ctx.result.endTime = ctx.now;
         if (ctx.result.endTime > result.totalTime)
             result.totalTime = ctx.result.endTime;
         result.perRank.push_back(ctx.result);
     }
     result.eventsProcessed = processed_;
-    result.transfers = transfers_.size();
+    result.transfers = m_.transfers.size();
     result.checkpoints = checkpointsTaken_;
     result.restarts = restarts_;
     result.timeline = std::move(timeline_);
@@ -1026,7 +927,7 @@ Engine::run(const ReplayProgram &program,
 void
 Engine::wakeRank(Rank r, SimTime t)
 {
-    auto &ctx = ranks_[static_cast<std::size_t>(r)];
+    auto &ctx = m_.ranks[static_cast<std::size_t>(r)];
     if (ctx.done)
         return;
     if (ctx.blocked) {
@@ -1119,8 +1020,8 @@ Engine::runRank(RankCtx &ctx)
             // the heap top at the release instant, so the historical
             // engine never coalesced here (see handleRelease).
             if (broadcastPending_ == 0 &&
-                (events_.empty() ||
-                 events_.top().time > ctx.now)) {
+                (m_.events.empty() ||
+                 m_.events.top().time > ctx.now)) {
                 countEvent();
                 continue;
             }
@@ -1133,7 +1034,7 @@ Engine::runRank(RankCtx &ctx)
             ++ctx.pc;
             const std::uint32_t idx =
                 postSend(ctx, op, noRequest);
-            Transfer &t = transfers_[idx];
+            Transfer &t = m_.transfers[idx];
             if (!t.has(tfEager)) {
                 // Rendezvous blocking send: stay blocked until the
                 // payload has fully left this node.
@@ -1149,7 +1050,7 @@ Engine::runRank(RankCtx &ctx)
             const std::uint32_t reg = op.c;
             activateRegister(ctx, reg);
             const std::uint32_t idx = postSend(ctx, op, reg);
-            Transfer &t = transfers_[idx];
+            Transfer &t = m_.transfers[idx];
             if (t.has(tfEager)) {
                 // Buffered: the request completes at the call.
                 t.sendReq = noRequest;
@@ -1232,14 +1133,14 @@ Engine::runRank(RankCtx &ctx)
 
     if (!ctx.done) {
         ctx.done = true;
-        ++doneRanks_;
+        ++m_.doneRanks;
     }
 }
 
 void
 Engine::completeRequest(Rank r, std::uint32_t req, SimTime t)
 {
-    auto &ctx = ranks_[static_cast<std::size_t>(r)];
+    auto &ctx = m_.ranks[static_cast<std::size_t>(r)];
     if (req == blockingRecvReq) {
         // Blocking receives bypass the request table: either the
         // rank is blocked on this receive (wake it) or the receive
@@ -1271,10 +1172,10 @@ Engine::completeRequest(Rank r, std::uint32_t req, SimTime t)
 void
 Engine::completeTransferRecv(std::uint32_t idx, SimTime done)
 {
-    Transfer &t = transfers_[idx];
+    Transfer &t = m_.transfers[idx];
     if (capture_)
         recordCommEvent(idx, done);
-    ++ranks_[static_cast<std::size_t>(t.dst)]
+    ++m_.ranks[static_cast<std::size_t>(t.dst)]
           .result.messagesReceived;
     const Rank dst = t.dst;
     const std::uint32_t req = t.recvReq;
@@ -1297,10 +1198,10 @@ Engine::postSend(RankCtx &ctx, const PackedOp &op,
     const Bytes bytes = op.b;
     const Rank dst = trace::channelDstOf(key);
     const auto idx =
-        static_cast<std::uint32_t>(transfers_.size());
-    Transfer &t = transfers_.emplace_back();
-    if (transfers_.size() > stats_.arenaHighWater)
-        stats_.arenaHighWater = transfers_.size();
+        static_cast<std::uint32_t>(m_.transfers.size());
+    Transfer &t = m_.transfers.emplace_back();
+    if (m_.transfers.size() > stats_.arenaHighWater)
+        stats_.arenaHighWater = m_.transfers.size();
     t.bytes = bytes;
     t.src = ctx.rank;
     t.dst = dst;
@@ -1324,25 +1225,25 @@ Engine::postSend(RankCtx &ctx, const PackedOp &op,
 
     // Match against an already-posted receive, FIFO per channel.
     ++stats_.channelProbes;
-    ChannelQueue &q = channels_[key];
+    ChannelQueue &q = m_.channels[key];
     if (q.recvHead != npos32) {
         const std::uint32_t post_idx = q.recvHead;
-        q.recvHead = recvPool_[post_idx].next;
+        q.recvHead = m_.recvPool[post_idx].next;
         if (q.recvHead == npos32)
             q.recvTail = npos32;
-        const RecvPost post = recvPool_[post_idx];
-        recvPool_[post_idx].next = recvPoolFree_;
-        recvPoolFree_ = post_idx;
+        const RecvPost post = m_.recvPool[post_idx];
+        m_.recvPool[post_idx].next = m_.recvPoolFree;
+        m_.recvPoolFree = post_idx;
         matchTransfer(idx, post.req, post.postTime);
     } else {
         if (q.sendTail == npos32)
             q.sendHead = idx;
         else
-            transfers_[q.sendTail].chanNext = idx;
+            m_.transfers[q.sendTail].chanNext = idx;
         q.sendTail = idx;
     }
 
-    Transfer &stored = transfers_[idx];
+    Transfer &stored = m_.transfers[idx];
     if (stored.has(tfEager) || stored.has(tfRecvPosted))
         makeEligible(idx, ctx.now);
     return idx;
@@ -1355,13 +1256,13 @@ Engine::postRecv(RankCtx &ctx, const PackedOp &op,
     const ChannelKey key = op.a;
     const Bytes bytes = op.b;
     ++stats_.channelProbes;
-    ChannelQueue &q = channels_[key];
+    ChannelQueue &q = m_.channels[key];
     if (q.sendHead != npos32) {
         const std::uint32_t idx = q.sendHead;
-        q.sendHead = transfers_[idx].chanNext;
+        q.sendHead = m_.transfers[idx].chanNext;
         if (q.sendHead == npos32)
             q.sendTail = npos32;
-        Transfer &t = transfers_[idx];
+        Transfer &t = m_.transfers[idx];
         t.chanNext = npos32;
         if (t.bytes != bytes) {
             fatal("rank ", ctx.rank, ": recv of ", bytes,
@@ -1373,23 +1274,23 @@ Engine::postRecv(RankCtx &ctx, const PackedOp &op,
         matchTransfer(idx, req, ctx.now);
         // A rendezvous transfer becomes eligible at the later of its
         // two posts, which is this one; an eager one already is.
-        if (!transfers_[idx].has(tfEager))
+        if (!m_.transfers[idx].has(tfEager))
             makeEligible(idx, ctx.now);
     } else {
         std::uint32_t post_idx;
-        if (recvPoolFree_ != npos32) {
-            post_idx = recvPoolFree_;
-            recvPoolFree_ = recvPool_[post_idx].next;
+        if (m_.recvPoolFree != npos32) {
+            post_idx = m_.recvPoolFree;
+            m_.recvPoolFree = m_.recvPool[post_idx].next;
         } else {
             post_idx =
-                static_cast<std::uint32_t>(recvPool_.size());
-            recvPool_.emplace_back();
+                static_cast<std::uint32_t>(m_.recvPool.size());
+            m_.recvPool.emplace_back();
         }
-        recvPool_[post_idx] = RecvPost{req, ctx.now, npos32};
+        m_.recvPool[post_idx] = RecvPost{req, ctx.now, npos32};
         if (q.recvTail == npos32)
             q.recvHead = post_idx;
         else
-            recvPool_[q.recvTail].next = post_idx;
+            m_.recvPool[q.recvTail].next = post_idx;
         q.recvTail = post_idx;
     }
 }
@@ -1398,7 +1299,7 @@ void
 Engine::matchTransfer(std::uint32_t idx, std::uint32_t recv_req,
                       SimTime post_time)
 {
-    Transfer &t = transfers_[idx];
+    Transfer &t = m_.transfers[idx];
     ovlAssert(!t.has(tfRecvPosted), "transfer matched twice");
     t.set(tfRecvPosted);
     t.recvPostTime = post_time;
@@ -1411,30 +1312,10 @@ Engine::matchTransfer(std::uint32_t idx, std::uint32_t recv_req,
     }
 }
 
-/** Claim bus/out/in capacity for a remote transfer if all are free. */
-inline bool
-Engine::tryAcquireResources(const Transfer &transfer)
-{
-    const std::size_t src_node = nodeOf(transfer.src);
-    const std::size_t dst_node = nodeOf(transfer.dst);
-    const bool bus_ok = !busesLimited() || busFree_ > 0;
-    const bool out_ok = !outLimited() || outFree_[src_node] > 0;
-    const bool in_ok = !inLimited() || inFree_[dst_node] > 0;
-    if (!(bus_ok && out_ok && in_ok))
-        return false;
-    if (busesLimited())
-        --busFree_;
-    if (outLimited())
-        --outFree_[src_node];
-    if (inLimited())
-        --inFree_[dst_node];
-    return true;
-}
-
 void
 Engine::makeEligible(std::uint32_t idx, SimTime t)
 {
-    Transfer &transfer = transfers_[idx];
+    Transfer &transfer = m_.transfers[idx];
     if (transfer.has(tfQueued) || transfer.has(tfStarted))
         return;
     transfer.set(tfQueued);
@@ -1454,159 +1335,21 @@ Engine::makeEligible(std::uint32_t idx, SimTime t)
     // resources may have become startable, and FIFO demands they go
     // first. Everything else that waits is stuck, and this transfer
     // is newer than all of it, so it only needs its own check (see
-    // waitPool_).
+    // FlatBus).
     startReleasedWaiters(t);
-    if (tryAcquireResources(transfer)) {
+    const std::uint32_t src_node = nodeOf(transfer.src);
+    const std::uint32_t dst_node = nodeOf(transfer.dst);
+    if (m_.bus.tryAcquire(src_node, dst_node)) {
         startTransfer(idx, t);
         return;
     }
-    enqueueWaiter(idx);
-}
-
-/**
- * Queue id of the wait queue on `side` (0: bus FIFO or out-queue,
- * 1: in-queue) that a src_node -> dst_node transfer waits in, or
- * npos32 when that side has no limited resource.
- */
-std::uint32_t
-Engine::waitQueueOf(int side, std::size_t src_node,
-                    std::size_t dst_node) const
-{
-    if (busesLimited())
-        return side == 0 ? 0 : npos32;
-    if (side == 0)
-        return outLimited() ? static_cast<std::uint32_t>(src_node)
-                            : npos32;
-    return inLimited() ? static_cast<std::uint32_t>(dst_node) : npos32;
-}
-
-/** No free unit of the resource every waiter of the queue needs. */
-bool
-Engine::waitQueueExhausted(int side, std::uint32_t q) const
-{
-    if (side == 1)
-        return inFree_[q] <= 0;
-    return busesLimited() ? busFree_ <= 0 : outFree_[q] <= 0;
-}
-
-void
-Engine::enqueueWaiter(std::uint32_t idx)
-{
-    std::uint32_t w = waitPoolFree_;
-    if (w != npos32) {
-        waitPoolFree_ = waitPool_[w].next[0];
-    } else {
-        w = static_cast<std::uint32_t>(waitPool_.size());
-        waitPool_.emplace_back();
-    }
-    const Transfer &transfer = transfers_[idx];
-    Waiter &waiter = waitPool_[w];
-    waiter.transfer = idx;
-    waiter.seq = waitSeq_++;
-    for (int side = 0; side < 2; ++side) {
-        const std::uint32_t q = waitQueueOf(
-            side, nodeOf(transfer.src), nodeOf(transfer.dst));
-        waiter.queue[side] = q;
-        if (q == npos32)
-            continue;
-        WaitQueue &wq = waitQueues_[side][q];
-        waiter.prev[side] = wq.tail;
-        waiter.next[side] = npos32;
-        if (wq.tail == npos32)
-            wq.head = w;
-        else
-            waitPool_[wq.tail].next[side] = w;
-        wq.tail = w;
-    }
-    if (++waiting_ > stats_.waitQueueMaxDepth)
-        stats_.waitQueueMaxDepth = waiting_;
-}
-
-/** Take a waiter out of its queues and return it to the pool. */
-void
-Engine::unlinkWaiter(std::uint32_t w)
-{
-    Waiter &waiter = waitPool_[w];
-    for (int side = 0; side < 2; ++side) {
-        const std::uint32_t q = waiter.queue[side];
-        if (q == npos32)
-            continue;
-        WaitQueue &wq = waitQueues_[side][q];
-        const std::uint32_t p = waiter.prev[side];
-        const std::uint32_t n = waiter.next[side];
-        if (p == npos32)
-            wq.head = n;
-        else
-            waitPool_[p].next[side] = n;
-        if (n == npos32)
-            wq.tail = p;
-        else
-            waitPool_[n].prev[side] = p;
-    }
-    waiter.next[0] = waitPoolFree_;
-    waitPoolFree_ = w;
-    --waiting_;
-}
-
-/** Open a release window over the queues of what was just freed. */
-void
-Engine::noteRelease(std::size_t src_node, std::size_t dst_node)
-{
-    ovlAssert(released_[0] == npos32 && released_[1] == npos32,
-              "overlapping resource releases");
-    released_[0] = waitQueueOf(0, src_node, dst_node);
-    released_[1] = waitQueueOf(1, src_node, dst_node);
-}
-
-/**
- * Close the pending release window (if any): start, in admission
- * order, every waiter of the released queues that can now acquire
- * its resources (see waitPool_ for why this equals a FIFO scan).
- */
-void
-Engine::startReleasedWaiters(SimTime t)
-{
-    const std::uint32_t q[2] = {released_[0], released_[1]};
-    if (q[0] == npos32 && q[1] == npos32)
-        return;
-    released_[0] = released_[1] = npos32;
-    std::uint32_t cur[2] = {npos32, npos32};
-    for (int side = 0; side < 2; ++side) {
-        if (q[side] != npos32)
-            cur[side] = waitQueues_[side][q[side]].head;
-    }
-    for (;;) {
-        // A queue whose resource is exhausted holds only stuck
-        // waiters from here on.
-        for (int side = 0; side < 2; ++side) {
-            if (cur[side] != npos32 && waitQueueExhausted(side, q[side]))
-                cur[side] = npos32;
-        }
-        std::uint32_t w = cur[0];
-        if (w == npos32 ||
-            (cur[1] != npos32 &&
-             waitPool_[cur[1]].seq < waitPool_[w].seq))
-            w = cur[1];
-        if (w == npos32)
-            break;
-        ++stats_.waitScanSteps;
-        // Both walks reach a waiter they share at the same step.
-        for (int side = 0; side < 2; ++side) {
-            if (cur[side] == w)
-                cur[side] = waitPool_[w].next[side];
-        }
-        const std::uint32_t idx = waitPool_[w].transfer;
-        if (tryAcquireResources(transfers_[idx])) {
-            unlinkWaiter(w);
-            startTransfer(idx, t);
-        }
-    }
+    m_.bus.enqueue(idx, src_node, dst_node, stats_);
 }
 
 void
 Engine::startTransfer(std::uint32_t idx, SimTime t)
 {
-    Transfer &transfer = transfers_[idx];
+    Transfer &transfer = m_.transfers[idx];
     transfer.set(tfStarted);
     SimTime begin = t;
     if (!transfer.has(tfEager)) {
@@ -1671,7 +1414,7 @@ Engine::startTransfer(std::uint32_t idx, SimTime t)
 void
 Engine::finishInjection(std::uint32_t idx, SimTime t)
 {
-    Transfer &transfer = transfers_[idx];
+    Transfer &transfer = m_.transfers[idx];
     if (transfer.has(tfColl)) {
         onCollSendInjected(idx, t);
         return;
@@ -1696,23 +1439,13 @@ Engine::handleInjected(std::uint32_t idx, SimTime t)
         handleNetInjected(idx, t);
         return;
     }
-    Transfer &transfer = transfers_[idx];
+    Transfer &transfer = m_.transfers[idx];
     // wakeRank/completeRequest below can re-enter postSend; the
     // exactly-reserved arena keeps `transfer` valid regardless, but
     // read what the resource release needs first so this does not
     // lean on the sizing invariant.
-    const bool local = transfer.has(tfLocal);
-    if (!local) {
-        const std::size_t src_node = nodeOf(transfer.src);
-        const std::size_t dst_node = nodeOf(transfer.dst);
-        if (busesLimited())
-            ++busFree_;
-        if (outLimited())
-            ++outFree_[src_node];
-        if (inLimited())
-            ++inFree_[dst_node];
-        noteRelease(src_node, dst_node);
-    }
+    if (!transfer.has(tfLocal))
+        m_.bus.release(nodeOf(transfer.src), nodeOf(transfer.dst));
 
     // A transfer the woken sender posts closes the release window
     // itself (makeEligible); otherwise it closes here.
@@ -1732,7 +1465,7 @@ Engine::handleInjected(std::uint32_t idx, SimTime t)
 void
 Engine::handleNetInjected(std::uint32_t idx, SimTime t)
 {
-    Transfer &transfer = transfers_[idx];
+    Transfer &transfer = m_.transfers[idx];
     if (!transfer.has(tfLocal)) {
         if (!transfer.has(tfInNet))
             return; // stale event after completion
@@ -1762,8 +1495,8 @@ Engine::handleNetInjected(std::uint32_t idx, SimTime t)
             // worst multiplier on the route at arrival pricing.
             double scale = 1.0;
             for (const std::uint32_t link : route) {
-                if (linkLatScale_[link] > scale)
-                    scale = linkLatScale_[link];
+                if (m_.linkLatScale[link] > scale)
+                    scale = m_.linkLatScale[link];
             }
             if (scale != 1.0) {
                 flight = SimTime::fromNs(
@@ -1782,7 +1515,7 @@ Engine::handleNetInjected(std::uint32_t idx, SimTime t)
 void
 Engine::handleArrived(std::uint32_t idx, SimTime t)
 {
-    Transfer &transfer = transfers_[idx];
+    Transfer &transfer = m_.transfers[idx];
     transfer.set(tfArrived);
     transfer.arriveTime = t;
     if (transfer.has(tfColl)) {
@@ -1804,7 +1537,7 @@ Engine::handleCollective(RankCtx &ctx, const PackedOp &op)
     // The compiler verified op agreement across ranks and resolved
     // the cross-rank byte maxima into the collective table, so
     // arrival is pure counting.
-    Barrier &barrier = barriers_[op.c];
+    Barrier &barrier = m_.barriers[op.c];
     ++barrier.arrived;
     if (ctx.now > barrier.latest)
         barrier.latest = ctx.now;
@@ -1908,15 +1641,15 @@ std::uint32_t
 Engine::acquireCollExec(std::uint32_t c)
 {
     std::uint32_t slot;
-    if (!collExecFree_.empty()) {
-        slot = collExecFree_.back();
-        collExecFree_.pop_back();
+    if (!m_.collExecFree.empty()) {
+        slot = m_.collExecFree.back();
+        m_.collExecFree.pop_back();
     } else {
-        slot = static_cast<std::uint32_t>(collExecs_.size());
-        collExecs_.emplace_back();
+        slot = static_cast<std::uint32_t>(m_.collExecs.size());
+        m_.collExecs.emplace_back();
     }
     const coll::Schedule &sched = *collSched_[c];
-    CollExec &ex = collExecs_[slot];
+    CollExec &ex = m_.collExecs[slot];
     ex.slotTime.assign(sched.recvSlots(), SimTime());
     ex.slotArrived.assign(sched.recvSlots(), 0);
     ex.cursor.assign(static_cast<std::size_t>(nranks_), 0);
@@ -1931,12 +1664,12 @@ Engine::acquireCollExec(std::uint32_t c)
 void
 Engine::startCollRank(std::uint32_t c, Rank r)
 {
-    Barrier &barrier = barriers_[c];
+    Barrier &barrier = m_.barriers[c];
     if (barrier.exec == npos32)
         barrier.exec = acquireCollExec(c);
-    CollExec &ex = collExecs_[barrier.exec];
+    CollExec &ex = m_.collExecs[barrier.exec];
     ex.rankTime[static_cast<std::size_t>(r)] =
-        ranks_[static_cast<std::size_t>(r)].now;
+        m_.ranks[static_cast<std::size_t>(r)].now;
     ex.rankState[static_cast<std::size_t>(r)] = collRunning;
     advanceCollRank(c, r);
 }
@@ -1952,11 +1685,11 @@ Engine::startCollRank(std::uint32_t c, Rank r)
 void
 Engine::advanceCollRank(std::uint32_t c, Rank r)
 {
-    const std::uint32_t exec = barriers_[c].exec;
+    const std::uint32_t exec = m_.barriers[c].exec;
     const auto steps = collSched_[c]->stepsOf(r);
     const auto ri = static_cast<std::size_t>(r);
     for (;;) {
-        CollExec &ex = collExecs_[exec];
+        CollExec &ex = m_.collExecs[exec];
         const std::uint32_t cur = ex.cursor[ri];
         if (cur >= steps.size())
             break;
@@ -1983,10 +1716,10 @@ Engine::postCollTransfer(std::uint32_t c, Rank r,
                          const coll::Step &step, SimTime t)
 {
     const Rank dst = step.peer;
-    const auto idx = static_cast<std::uint32_t>(transfers_.size());
-    Transfer &transfer = transfers_.emplace_back();
-    if (transfers_.size() > stats_.arenaHighWater)
-        stats_.arenaHighWater = transfers_.size();
+    const auto idx = static_cast<std::uint32_t>(m_.transfers.size());
+    Transfer &transfer = m_.transfers.emplace_back();
+    if (m_.transfers.size() > stats_.arenaHighWater)
+        stats_.arenaHighWater = m_.transfers.size();
     transfer.bytes = step.bytes;
     transfer.src = r;
     transfer.dst = dst;
@@ -2005,7 +1738,7 @@ Engine::postCollTransfer(std::uint32_t c, Rank r,
         TransferMeta &meta = txMeta_.emplace_back();
         meta.sendPost = t;
     }
-    auto &result = ranks_[static_cast<std::size_t>(r)].result;
+    auto &result = m_.ranks[static_cast<std::size_t>(r)].result;
     ++result.messagesSent;
     result.bytesSent += step.bytes;
     makeEligible(idx, t);
@@ -2020,11 +1753,11 @@ Engine::postCollTransfer(std::uint32_t c, Rank r,
 void
 Engine::onCollSendInjected(std::uint32_t idx, SimTime t)
 {
-    const Transfer &transfer = transfers_[idx];
+    const Transfer &transfer = m_.transfers[idx];
     const std::uint32_t c = transfer.sendReq;
     const Rank r = transfer.src;
     const auto ri = static_cast<std::size_t>(r);
-    CollExec &ex = collExecs_[barriers_[c].exec];
+    CollExec &ex = m_.collExecs[m_.barriers[c].exec];
     ovlAssert(ex.rankState[ri] == collWaitInject,
               "collective injection for a rank not waiting on one");
     if (t > ex.rankTime[ri])
@@ -2045,17 +1778,17 @@ Engine::onCollSendInjected(std::uint32_t idx, SimTime t)
 void
 Engine::onCollArrived(std::uint32_t idx, SimTime t)
 {
-    const Transfer &transfer = transfers_[idx];
+    const Transfer &transfer = m_.transfers[idx];
     const std::uint32_t c = transfer.sendReq;
     const std::uint32_t slot = transfer.recvReq;
     const Rank dst = transfer.dst;
     const auto di = static_cast<std::size_t>(dst);
-    CollExec &ex = collExecs_[barriers_[c].exec];
+    CollExec &ex = m_.collExecs[m_.barriers[c].exec];
     ovlAssert(!ex.slotArrived[slot],
               "collective slot arrived twice");
     ex.slotArrived[slot] = 1;
     ex.slotTime[slot] = t;
-    ++ranks_[di].result.messagesReceived;
+    ++m_.ranks[di].result.messagesReceived;
     if (ex.rankState[di] != collWaitRecv)
         return;
     const auto steps = collSched_[c]->stepsOf(dst);
@@ -2081,13 +1814,13 @@ Engine::onCollArrived(std::uint32_t idx, SimTime t)
 void
 Engine::finishCollRank(std::uint32_t c, Rank r)
 {
-    Barrier &barrier = barriers_[c];
-    CollExec &ex = collExecs_[barrier.exec];
+    Barrier &barrier = m_.barriers[c];
+    CollExec &ex = m_.collExecs[barrier.exec];
     const auto ri = static_cast<std::size_t>(r);
     ex.rankState[ri] = collDone;
     const SimTime done = ex.rankTime[ri];
     if (--ex.remaining == 0) {
-        collExecFree_.push_back(barrier.exec);
+        m_.collExecFree.push_back(barrier.exec);
         barrier.exec = npos32;
     }
     wakeRank(r, done);
@@ -2096,7 +1829,7 @@ Engine::finishCollRank(std::uint32_t c, Rank r)
 void
 Engine::recordCommEvent(std::uint32_t idx, SimTime recv_complete)
 {
-    const Transfer &t = transfers_[idx];
+    const Transfer &t = m_.transfers[idx];
     const TransferMeta &meta = txMeta_[idx];
     CommEvent event;
     event.message = meta.message;
@@ -2128,7 +1861,7 @@ Engine::handleScenarioEvent(std::uint32_t i, SimTime t)
     // the rest of the machine, so its successor is armed by the
     // compiled inter-event gap from the instant this one actually
     // fired — identical to the absolute times of the plain path
-    // when nothing froze, and exactly compiled(i+1) + scenShift_.
+    // when nothing froze, and exactly compiled(i+1) + m_.scenShift.
     if (i + 1 < scenario_.eventCount()) {
         schedule(ckptMode_
                      ? t + (scenario_.event(i + 1).time -
@@ -2136,12 +1869,12 @@ Engine::handleScenarioEvent(std::uint32_t i, SimTime t)
                      : scenario_.event(i + 1).time,
                  EventKind::scenario, i + 1);
     }
-    scenNextIdx_ = i + 1;
+    m_.scenNextIdx = i + 1;
     ++stats_.scenarioEvents;
     const scen::ScenarioEvent &ev = scenario_.event(i);
     switch (ev.kind) {
       case scen::ScenEventKind::degrade:
-        scenActive_[i] = 1;
+        m_.scenActive[i] = 1;
         if (netMode_) {
             applyScenLinkScales(i);
             network_.applyScales(t);
@@ -2152,7 +1885,7 @@ Engine::handleScenarioEvent(std::uint32_t i, SimTime t)
       case scen::ScenEventKind::recover: {
         const std::uint32_t m = scenario_.matchOf(i);
         const scen::ScenarioEvent &undone = scenario_.event(m);
-        scenActive_[m] = 0;
+        m_.scenActive[m] = 0;
         if (netMode_) {
             applyScenLinkScales(m);
             network_.applyScales(t);
@@ -2177,7 +1910,7 @@ Engine::handleScenarioEvent(std::uint32_t i, SimTime t)
             // Nothing left to kill once every rank finished; the
             // stream keeps chaining for any later background
             // events.
-            if (doneRanks_ >= nranks_)
+            if (m_.doneRanks >= nranks_)
                 break;
             if (!ckptMode_)
                 reportFailStop(i, t);
@@ -2191,7 +1924,7 @@ Engine::handleScenarioEvent(std::uint32_t i, SimTime t)
             }
             break;
         }
-        scenActive_[i] = 1;
+        m_.scenActive[i] = 1;
         if (netMode_) {
             applyScenLinkScales(i);
             network_.applyScales(t);
@@ -2230,7 +1963,7 @@ Engine::applyScenLinkScales(std::size_t i)
         double bw = 1.0;
         double lat = 1.0;
         for (std::size_t j = 0; j < scenario_.eventCount(); ++j) {
-            if (!scenActive_[j] ||
+            if (!m_.scenActive[j] ||
                 !scenario_.linkSetContains(j, link))
                 continue;
             const scen::ScenarioEvent &ej = scenario_.event(j);
@@ -2242,7 +1975,7 @@ Engine::applyScenLinkScales(std::size_t i)
             }
         }
         network_.setLinkScale(link, bw);
-        linkLatScale_[link] = lat;
+        m_.linkLatScale[link] = lat;
     }
 }
 
@@ -2279,7 +2012,7 @@ void
 Engine::startBackgroundFlow(std::uint32_t i, SimTime t)
 {
     const scen::ScenarioEvent &ev = scenario_.event(i);
-    scenActive_[i] = 1;
+    m_.scenActive[i] = 1;
     if (netMode_) {
         const SimTime finish = network_.start(
             bgIdBase + i, ev.nodeA, ev.nodeB, ev.bytes, t);
@@ -2287,12 +2020,8 @@ Engine::startBackgroundFlow(std::uint32_t i, SimTime t)
             schedule(finish, EventKind::backgroundFinish, i);
         return;
     }
-    if (busesLimited())
-        --busFree_;
-    if (outLimited())
-        --outFree_[static_cast<std::size_t>(ev.nodeA)];
-    if (inLimited())
-        --inFree_[static_cast<std::size_t>(ev.nodeB)];
+    m_.bus.hold(static_cast<std::uint32_t>(ev.nodeA),
+                static_cast<std::uint32_t>(ev.nodeB));
     SimTime ser, lat;
     flatScenCost(ev.nodeA, ev.nodeB, ev.bytes, t, ser, lat);
     const SimTime finish =
@@ -2305,7 +2034,7 @@ Engine::startBackgroundFlow(std::uint32_t i, SimTime t)
 void
 Engine::handleBackgroundFinish(std::uint32_t i, SimTime t)
 {
-    if (!scenActive_[i])
+    if (!m_.scenActive[i])
         return; // stale event after completion
     if (netMode_) {
         const auto check =
@@ -2317,20 +2046,14 @@ Engine::handleBackgroundFinish(std::uint32_t i, SimTime t)
             }
             return;
         }
-        scenActive_[i] = 0;
+        m_.scenActive[i] = 0;
         drainNetReschedules();
         return;
     }
-    scenActive_[i] = 0;
+    m_.scenActive[i] = 0;
     const scen::ScenarioEvent &ev = scenario_.event(i);
-    if (busesLimited())
-        ++busFree_;
-    if (outLimited())
-        ++outFree_[static_cast<std::size_t>(ev.nodeA)];
-    if (inLimited())
-        ++inFree_[static_cast<std::size_t>(ev.nodeB)];
-    noteRelease(static_cast<std::size_t>(ev.nodeA),
-                static_cast<std::size_t>(ev.nodeB));
+    m_.bus.release(static_cast<std::uint32_t>(ev.nodeA),
+                   static_cast<std::uint32_t>(ev.nodeB));
     startReleasedWaiters(t);
 }
 
@@ -2341,7 +2064,7 @@ Engine::failStopDiagnosis(std::uint32_t i, SimTime t) const
     scen::FailureDiagnosis diag;
     diag.event = scenario_.event(i).describe();
     diag.time = t;
-    for (const auto &ctx : ranks_) {
+    for (const auto &ctx : m_.ranks) {
         if (ctx.done)
             continue;
         scen::BlockedRank blocked;
@@ -2386,12 +2109,12 @@ Engine::handleCheckpoint(std::uint32_t level, SimTime t)
 {
     // The application finished (only drain events remain): stop
     // chaining and let the heap empty.
-    if (doneRanks_ >= nranks_)
+    if (m_.doneRanks >= nranks_)
         return;
     ++checkpointsTaken_;
     const bool global = level == 1;
     const SimTime cost = global ? ckptGlobalCost_ : ckptCost_;
-    freezeMachine(cost);
+    shiftMachine(cost);
     // Arm the successor BEFORE imaging the machine: the snapshot
     // carries the whole heap, checkpoint chain included, so a
     // restore finds its next checkpoint pending exactly one
@@ -2410,10 +2133,15 @@ Engine::handleCheckpoint(std::uint32_t level, SimTime t)
         snapshotGlobal_ = snapshot_;
 }
 
+/**
+ * Move every pending instant of the machine forward by `by`: the
+ * freeze of a checkpoint and the re-entry of a restored image at its
+ * restart instant are both this uniform shift.
+ */
 void
-Engine::freezeMachine(SimTime cost)
+Engine::shiftMachine(SimTime by)
 {
-    if (cost.ns() == 0)
+    if (by.ns() == 0)
         return;
     // A uniform shift keeps every pair of heap keys ordered as
     // before, which is exactly the contract DaryHeap::operator[]
@@ -2422,13 +2150,13 @@ Engine::freezeMachine(SimTime cost)
     // overwritten from the shifted event when it fires, and past
     // ones must stay where history put them. The pending scenario
     // event moved with the rest of the machine, so the accumulated
-    // compiled-to-effective shift grows by the same cost.
-    for (std::size_t k = 0; k < events_.size(); ++k)
-        events_[k].time += cost;
+    // compiled-to-effective shift grows by the same amount.
+    for (std::size_t k = 0; k < m_.events.size(); ++k)
+        m_.events[k].time += by;
     if (netMode_)
-        network_.shiftFlowClocks(cost);
+        network_.shiftFlowClocks(by);
     if (scenMode_)
-        scenShift_ += cost;
+        m_.scenShift += by;
 }
 
 /**
@@ -2442,38 +2170,10 @@ Engine::takeSnapshot(SimTime anchor)
 {
     ovlAssert(broadcastPending_ == 0,
               "checkpoint inside a release broadcast");
-    Snapshot &s = snapshot_;
-    s.anchor = anchor;
-    s.events = events_;
-    s.nextSeq = nextSeq_;
-    s.ranks = ranks_;
-    s.transfers.assign(transfers_.begin(), transfers_.end());
-    s.recvPool.assign(recvPool_.begin(), recvPool_.end());
-    s.recvPoolFree = recvPoolFree_;
-    s.waitPool = waitPool_;
-    s.waitPoolFree = waitPoolFree_;
-    s.waitQueues[0] = waitQueues_[0];
-    s.waitQueues[1] = waitQueues_[1];
-    s.waitSeq = waitSeq_;
-    s.waiting = waiting_;
-    s.released[0] = released_[0];
-    s.released[1] = released_[1];
-    s.channels = channels_;
-    s.barriers.assign(barriers_.begin(), barriers_.end());
-    s.busFree = busFree_;
-    s.outFree = outFree_;
-    s.inFree = inFree_;
-    s.doneRanks = doneRanks_;
+    snapshot_.anchor = anchor;
+    snapshot_.state = m_;
     if (netMode_)
-        s.network = network_;
-    s.scenActive = scenActive_;
-    s.linkLatScale = linkLatScale_;
-    s.scenNextIdx = scenNextIdx_;
-    s.scenShift = scenShift_;
-    if (algorithmic_) {
-        s.collExecs.assign(collExecs_.begin(), collExecs_.end());
-        s.collExecFree = collExecFree_;
-    }
+        snapshot_.network = network_;
 }
 
 /**
@@ -2545,7 +2245,7 @@ Engine::restartFromCheckpoint(std::uint32_t i, SimTime t)
     // discard work, never invent traffic.
     std::uint64_t bytes_before = 0;
     std::uint64_t msgs_before = 0;
-    for (const auto &ctx : ranks_) {
+    for (const auto &ctx : m_.ranks) {
         bytes_before += ctx.result.bytesSent;
         msgs_before += ctx.result.messagesSent;
     }
@@ -2557,7 +2257,7 @@ Engine::restartFromCheckpoint(std::uint32_t i, SimTime t)
     // wasted work, recorded as such).
     if (capture_) {
         timeline_.truncateAt(t);
-        for (const auto &ctx : ranks_) {
+        for (const auto &ctx : m_.ranks) {
             if (!ctx.done && ctx.blocked && ctx.blockStart < t) {
                 timeline_.addInterval(ctx.rank, ctx.blockStart, t,
                                       ctx.blockState);
@@ -2578,58 +2278,25 @@ Engine::restartFromCheckpoint(std::uint32_t i, SimTime t)
         // re-aim it at this run's live counters (monotone across
         // rollbacks, never restored).
         network_.setStats(&stats_);
-        network_.shiftFlowClocks(delta);
         ovlAssert(network_.totalLoad() == s.network.totalLoad(),
                   "restore changed link occupancy");
     }
 
-    // Rebuild the heap from the snapshot whole, shifted into the
-    // restarted time frame. The vectors shrink back onto their
-    // reserved arenas — restores never reallocate.
-    events_.clear();
-    for (std::size_t k = 0; k < s.events.size(); ++k) {
-        Event ev = s.events[k];
-        ev.time += delta;
-        ++stats_.heapPushes;
-        events_.push(ev);
-    }
-    nextSeq_ = s.nextSeq;
-    ranks_ = s.ranks;
-    transfers_.resize(s.transfers.size());
-    std::copy(s.transfers.begin(), s.transfers.end(),
-              transfers_.begin());
+    // Copy the machine back and shift it into the restarted time
+    // frame. Copy-assignment reuses the live arenas (restores never
+    // reallocate). The shifted heap is exactly the array that
+    // re-pushing the snapshot's events in storage order would build
+    // (siftUp never moves an element pushed in heap order), so those
+    // pushes are counted.
+    m_ = s.state;
+    shiftMachine(delta);
+    stats_.heapPushes += m_.events.size();
     if (capture_)
-        txMeta_.resize(s.transfers.size());
-    recvPool_.resize(s.recvPool.size());
-    std::copy(s.recvPool.begin(), s.recvPool.end(),
-              recvPool_.begin());
-    recvPoolFree_ = s.recvPoolFree;
-    waitPool_ = s.waitPool;
-    waitPoolFree_ = s.waitPoolFree;
-    waitQueues_[0] = s.waitQueues[0];
-    waitQueues_[1] = s.waitQueues[1];
-    waitSeq_ = s.waitSeq;
-    waiting_ = s.waiting;
-    released_[0] = s.released[0];
-    released_[1] = s.released[1];
-    channels_ = s.channels;
-    barriers_.assign(s.barriers.begin(), s.barriers.end());
-    busFree_ = s.busFree;
-    outFree_ = s.outFree;
-    inFree_ = s.inFree;
-    doneRanks_ = s.doneRanks;
-    scenActive_ = s.scenActive;
-    linkLatScale_ = s.linkLatScale;
-    scenNextIdx_ = s.scenNextIdx;
-    scenShift_ = s.scenShift + delta;
-    if (algorithmic_) {
-        collExecs_.assign(s.collExecs.begin(), s.collExecs.end());
-        collExecFree_ = s.collExecFree;
-    }
+        txMeta_.resize(m_.transfers.size());
 
     std::uint64_t bytes_after = 0;
     std::uint64_t msgs_after = 0;
-    for (const auto &ctx : ranks_) {
+    for (const auto &ctx : m_.ranks) {
         bytes_after += ctx.result.bytesSent;
         msgs_after += ctx.result.messagesSent;
     }
@@ -2645,7 +2312,7 @@ Engine::restartFromCheckpoint(std::uint32_t i, SimTime t)
     // The machine pays the restart: every rank alive in the
     // restored image spends [t, restore_at] rolling back.
     if (capture_) {
-        for (const auto &ctx : ranks_) {
+        for (const auto &ctx : m_.ranks) {
             if (!ctx.done) {
                 timeline_.addInterval(ctx.rank, t, restore_at,
                                       RankState::restart);
@@ -2677,14 +2344,14 @@ Engine::flatScenCost(int src, int dst, Bytes bytes, SimTime begin,
             // only at the boundary instant where its shifted
             // compiled time has been reached but the event has not
             // popped yet.
-            if (i < scenNextIdx_) {
-                if (!scenActive_[i])
+            if (i < m_.scenNextIdx) {
+                if (!m_.scenActive[i])
                     continue;
             } else {
                 const SimTime rec = scenario_.recoveryTimeOf(i);
-                if (ev.time + scenShift_ > begin ||
+                if (ev.time + m_.scenShift > begin ||
                     (rec != SimTime::max() &&
-                     begin >= rec + scenShift_))
+                     begin >= rec + m_.scenShift))
                     continue;
             }
         } else if (!(ev.time <= begin &&
@@ -2754,15 +2421,15 @@ Engine::applyFlatStalls(int src, int dst, SimTime begin,
             // in non-decreasing start order: fired-active windows
             // collapse to `begin` and pending ones keep the
             // compiled time order under a uniform shift.
-            if (i < scenNextIdx_) {
-                if (!scenActive_[i])
+            if (i < m_.scenNextIdx) {
+                if (!m_.scenActive[i])
                     continue;
                 s = begin;
             } else {
-                s = s + scenShift_;
+                s = s + m_.scenShift;
             }
             if (r != SimTime::max())
-                r = r + scenShift_;
+                r = r + m_.scenShift;
         }
         if (have && s <= winEnd) {
             if (r > winEnd)
@@ -2784,7 +2451,7 @@ void
 Engine::reportDeadlock() const
 {
     std::string detail;
-    for (const auto &ctx : ranks_) {
+    for (const auto &ctx : m_.ranks) {
         if (ctx.done)
             continue;
         detail += strformat(
@@ -2803,12 +2470,12 @@ Engine::reportDeadlock() const
             continue;
         const auto ri = static_cast<std::size_t>(ctx.rank);
         for (std::uint32_t c = 0;
-             c < static_cast<std::uint32_t>(barriers_.size());
+             c < static_cast<std::uint32_t>(m_.barriers.size());
              ++c) {
-            const std::uint32_t exec = barriers_[c].exec;
+            const std::uint32_t exec = m_.barriers[c].exec;
             if (exec == npos32)
                 continue;
-            const CollExec &ex = collExecs_[exec];
+            const CollExec &ex = m_.collExecs[exec];
             const std::uint8_t st = ex.rankState[ri];
             if (st != collWaitInject && st != collWaitRecv)
                 continue;
@@ -2829,7 +2496,7 @@ Engine::reportDeadlock() const
         // likely culprit; say so.
         for (std::size_t i = 0; i < scenario_.eventCount(); ++i) {
             const scen::ScenarioEvent &ev = scenario_.event(i);
-            if (scenActive_[i] &&
+            if (m_.scenActive[i] &&
                 ev.kind == scen::ScenEventKind::fail &&
                 ev.semantics == scen::FailSemantics::stall &&
                 scenario_.matchOf(i) == scen::CompiledScenario::npos) {
@@ -2839,7 +2506,7 @@ Engine::reportDeadlock() const
             }
         }
     }
-    fatal("replay deadlocked with ", nranks_ - doneRanks_,
+    fatal("replay deadlocked with ", nranks_ - m_.doneRanks,
           " rank(s) unfinished:", detail);
 }
 

@@ -211,9 +211,16 @@ TEST(EngineStatsTest, RollbackChargesReworkAndKeepsPushesAhead)
     EXPECT_EQ(result.stats.rollbackReworkNs,
               static_cast<std::uint64_t>(
                   SimTime::fromUs(27.0).ns()));
-    // The restart discards counted pushes with the cleared heap,
-    // so pushes can only run ahead of pops, never behind.
-    EXPECT_GE(result.stats.heapPushes, result.stats.heapPops);
+    // Closed form. Pushes: the three armed at start (rank resume,
+    // the scenario event, the first checkpoint), the burst's end
+    // resume and the next checkpoint, then the restored three-event
+    // heap counted again: 8. Pops: the start resume, the checkpoint
+    // and the failure, then the three restored events (the
+    // consumed failure re-firing as a no-op, the resume, the
+    // checkpoint that finds the rank done): 6. The two events
+    // pending at the failure are discarded unpopped.
+    EXPECT_EQ(result.stats.heapPushes, 8u);
+    EXPECT_EQ(result.stats.heapPops, 6u);
     EXPECT_GT(result.stats.scenarioEvents, 0u);
 }
 

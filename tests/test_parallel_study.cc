@@ -24,6 +24,8 @@
 #include "core/analysis.hh"
 #include "core/study.hh"
 #include "helpers.hh"
+#include "net/topology.hh"
+#include "scen/scenario.hh"
 #include "sim/engine.hh"
 #include "util/thread_pool.hh"
 
@@ -200,6 +202,96 @@ TEST(ReplaySessionTest, ReuseMatchesFreshEngineAcrossJobs)
         expectIdentical(session.run(pc.traces, platform),
                         simulate(pc.traces, platform));
     }
+
+    // Mixed-mode jobs rotated through the same session: switching
+    // fabric, collective model, scenario, checkpointing and capture
+    // between replays must leave nothing of one job's machine state
+    // (snapshots included) in the next, down to the exact counters.
+    const auto mixed = testing::traceOf(4, [](vm::VmContext &ctx) {
+        ctx.compute(200'000);
+        ctx.barrier();
+        testing::ringExchange(64 * 1024, 300'000, 3)(ctx);
+        ctx.allReduce(32 * 1024);
+    });
+    scen::ScenarioConfig scenario;
+    auto &events = scenario.events;
+    scen::ScenarioEvent degrade;
+    degrade.kind = scen::ScenEventKind::degrade;
+    degrade.target = scen::ScenTarget::all;
+    degrade.time = SimTime::fromUs(100.0);
+    degrade.bandwidthFactor = 0.5;
+    events.push_back(degrade);
+    scen::ScenarioEvent recover_degrade = degrade;
+    recover_degrade.kind = scen::ScenEventKind::recover;
+    recover_degrade.time = SimTime::fromUs(400.0);
+    events.push_back(recover_degrade);
+    scen::ScenarioEvent background;
+    background.kind = scen::ScenEventKind::background;
+    background.target = scen::ScenTarget::route;
+    background.nodeA = 0;
+    background.nodeB = 3;
+    background.time = SimTime::fromUs(250.0);
+    background.bytes = 256 * 1024;
+    events.push_back(background);
+    scen::ScenarioEvent stall;
+    stall.kind = scen::ScenEventKind::fail;
+    stall.target = scen::ScenTarget::node;
+    stall.nodeA = 2;
+    stall.time = SimTime::fromUs(500.0);
+    stall.semantics = scen::FailSemantics::stall;
+    events.push_back(stall);
+    scen::ScenarioEvent recover_stall = stall;
+    recover_stall.kind = scen::ScenEventKind::recover;
+    recover_stall.time = SimTime::fromUs(550.0);
+    events.push_back(recover_stall);
+    scen::ScenarioEvent fail_stop = stall;
+    fail_stop.nodeA = 1;
+    fail_stop.time = SimTime::fromUs(700.0);
+    fail_stop.semantics = scen::FailSemantics::failStop;
+    events.push_back(fail_stop);
+
+    auto fat_tree = sim::platforms::topologyCluster(
+        net::topologies::taperedFatTree(2));
+    fat_tree.collectiveModel = coll::CollectiveModel::algorithmic;
+    fat_tree.scenario = scenario;
+    fat_tree.checkpointIntervalUs = 150.0;
+    fat_tree.checkpointCostUs = 5.0;
+    fat_tree.restartCostUs = 15.0;
+    auto flat_links = sim::platforms::defaultCluster();
+    flat_links.bandwidthMBps = 64.0;
+    flat_links.outLinksPerNode = 1;
+    flat_links.inLinksPerNode = 1;
+    flat_links.scenario = scenario;
+    flat_links.checkpointIntervalUs = 150.0;
+    flat_links.checkpointCostUs = 5.0;
+    flat_links.restartCostUs = 15.0;
+    auto one_bus = sim::platforms::contendedCluster(1);
+    one_bus.bandwidthMBps = 64.0;
+    one_bus.captureTimeline = true;
+    const sim::PlatformConfig jobs[] = {fat_tree, flat_links, one_bus};
+
+    for (std::size_t round = 0; round < 3; ++round) {
+        for (std::size_t j = 0; j < 3; ++j) {
+            const auto &platform = jobs[(round + j) % 3];
+            const auto reused = session.run(mixed.traces, platform);
+            const auto fresh = simulate(mixed.traces, platform);
+            SCOPED_TRACE(platform.name);
+            expectIdentical(reused, fresh);
+            EXPECT_EQ(reused.restarts, fresh.restarts);
+            EXPECT_EQ(reused.checkpoints, fresh.checkpoints);
+            EXPECT_EQ(reused.stats.heapPushes, fresh.stats.heapPushes);
+            EXPECT_EQ(reused.stats.waitScanSteps,
+                      fresh.stats.waitScanSteps);
+        }
+    }
+    // The rotation exercises what it claims to.
+    const auto fat = simulate(mixed.traces, fat_tree);
+    EXPECT_GE(fat.restarts, 1u);
+    EXPECT_GT(fat.stats.collSteps, 0u);
+    const auto flat = simulate(mixed.traces, flat_links);
+    EXPECT_GE(flat.restarts, 1u);
+    EXPECT_GT(flat.stats.waitScanSteps, 0u);
+    EXPECT_GT(simulate(mixed.traces, one_bus).stats.waitScanSteps, 0u);
 }
 
 TEST(ParallelSweepTest, BitIdenticalAcrossThreadCountsAndRuns)
