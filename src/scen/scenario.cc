@@ -457,6 +457,92 @@ compileScenario(const ScenarioConfig &config,
     return compiled;
 }
 
+namespace {
+
+/** An effective-time window [start, end); empty when start >= end. */
+struct Window
+{
+    SimTime start;
+    SimTime end;
+};
+
+/** The window rule of ScenCursor for degrade or stall event i. */
+Window
+effectiveWindow(const CompiledScenario &scenario,
+                const ScenCursor &cursor, std::size_t i)
+{
+    SimTime end = scenario.recoveryTimeOf(i);
+    if (end != SimTime::max())
+        end += cursor.shift;
+    if (i >= cursor.nextIdx)
+        return {scenario.event(i).time + cursor.shift, end};
+    if (cursor.active[i])
+        return {SimTime::zero(), end};
+    return {};
+}
+
+} // namespace
+
+FlatScale
+flatScaleAt(const CompiledScenario &scenario, const ScenCursor &cursor,
+            int src, int dst, SimTime begin)
+{
+    FlatScale scale;
+    for (std::size_t i = 0; i < scenario.eventCount(); ++i) {
+        const ScenarioEvent &ev = scenario.event(i);
+        if (ev.kind != ScenEventKind::degrade ||
+            !ev.matchesPair(src, dst))
+            continue;
+        const Window w = effectiveWindow(scenario, cursor, i);
+        if (w.start <= begin && begin < w.end) {
+            scale.bandwidth *= ev.bandwidthFactor;
+            scale.latency *= ev.latencyFactor;
+        }
+    }
+    return scale;
+}
+
+SimTime
+flatStallFinish(const CompiledScenario &scenario,
+                const ScenCursor &cursor, int src, int dst,
+                SimTime begin, SimTime finish)
+{
+    // Windows are visited in index order, which is start order: fired
+    // windows start at zero and pending ones keep the compiled order
+    // under the uniform shift. Overlapping windows are merged so
+    // concurrent stalls do not double-charge, and each merged window
+    // starting before the (already extended) finish pushes it out by
+    // the window's remaining length.
+    Window merged;
+    const auto apply = [&]() {
+        const SimTime eff = std::max(merged.start, begin);
+        if (finish == SimTime::max() || merged.end <= begin ||
+            eff >= finish)
+            return;
+        finish = merged.end == SimTime::max()
+            ? SimTime::max()
+            : finish + (merged.end - eff);
+    };
+    for (std::size_t i = 0; i < scenario.eventCount(); ++i) {
+        const ScenarioEvent &ev = scenario.event(i);
+        if (ev.kind != ScenEventKind::fail ||
+            ev.semantics != FailSemantics::stall ||
+            !ev.matchesPair(src, dst))
+            continue;
+        const Window w = effectiveWindow(scenario, cursor, i);
+        if (w.start >= w.end)
+            continue;
+        if (merged.start < merged.end && w.start <= merged.end) {
+            merged.end = std::max(merged.end, w.end);
+            continue;
+        }
+        apply();
+        merged = w;
+    }
+    apply();
+    return finish;
+}
+
 std::string
 FailureDiagnosis::toString() const
 {

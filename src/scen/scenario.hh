@@ -37,8 +37,9 @@
  * compiled topology and every recover matched to its event — the
  * same compile-once philosophy as sim/program.hh and
  * net::compileTopology. The engine merges the stream into its event
- * heap behind a seam next to netMode_ and applies it to both the
- * flat-bus and LinkNetwork cost paths.
+ * heap behind a seam next to netMode_ and applies it to both cost
+ * paths: LinkNetwork capacities, and the flat-bus pricing defined
+ * here as pure functions of the stream and a ScenCursor.
  */
 
 #ifndef OVLSIM_SCEN_SCENARIO_HH
@@ -257,6 +258,58 @@ class CompiledScenario
 CompiledScenario compileScenario(const ScenarioConfig &config,
                                  const net::CompiledTopology *topo,
                                  int nodes);
+
+/**
+ * The live side of a compiled stream during one replay. Events fire
+ * strictly in index order (each handler arms its successor), so
+ * `nextIdx` splits history (i < nextIdx) from pending events.
+ * `active` flags fired events whose effect is live: degrades and
+ * stall/reroute failures until their recover, background flows
+ * until they finish. `shift` is the accumulated uniform delay of
+ * every checkpoint freeze and rollback (zero on a plain replay):
+ * pending event i fires at event(i).time + shift.
+ *
+ * The flat-bus pricing below reads one effective-time window rule
+ * from it. A pending degrade or stall spans
+ * [compiled start + shift, compiled recovery + shift); a fired one
+ * is live while its flag is up and before its recovery's shifted
+ * instant. A window that never recovers never closes.
+ */
+struct ScenCursor
+{
+    std::vector<std::uint8_t> active;
+    std::uint32_t nextIdx = 0;
+    SimTime shift;
+};
+
+/** Bandwidth and latency multipliers of a flat-bus transfer. */
+struct FlatScale
+{
+    double bandwidth = 1.0;
+    double latency = 1.0;
+};
+
+/**
+ * Flat-bus degrade pricing of a src -> dst node transfer starting at
+ * `begin`: the product of the multipliers of every degrade covering
+ * the pair whose effective window contains `begin`. The rate is
+ * sampled once: a degrade that begins or recovers mid-serialization
+ * does not change it (the link network re-prices flows mid-flight).
+ */
+FlatScale flatScaleAt(const CompiledScenario &scenario,
+                      const ScenCursor &cursor, int src, int dst,
+                      SimTime begin);
+
+/**
+ * Extend a flat-bus serialization [begin, finish) across the
+ * effective windows of every stall covering the src -> dst pair:
+ * the payload makes progress only outside them. Returns
+ * SimTime::max() for a transfer caught by a stall that never
+ * recovers.
+ */
+SimTime flatStallFinish(const CompiledScenario &scenario,
+                        const ScenCursor &cursor, int src, int dst,
+                        SimTime begin, SimTime finish);
 
 /** One unfinished rank at the instant a fail-stop event fired. */
 struct BlockedRank

@@ -1,6 +1,7 @@
 #include "engine.hh"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -306,24 +307,12 @@ struct MachineState
 
     int doneRanks = 0;
 
-    /**
-     * Scenario cursor. scenActive marks events whose effect is
-     * currently live (and doubles as the in-flight flag of
-     * background flows); on the link network linkLatScale carries
-     * the per-link latency multiplier that the capacity-only
-     * LinkNetwork cannot. The stream fires strictly in index order
-     * (each handler arms its successor), so scenNextIdx — the index
-     * of the next event to fire — says which events are history
-     * (i < scenNextIdx) and which are pending. Under checkpointing
-     * pending events live in the heap at their compiled time plus
-     * scenShift, the accumulated uniform shift of every freeze and
-     * rollback, so the flat-bus pricing can place pending
-     * stall/degrade windows in effective time.
-     */
-    std::vector<std::uint8_t> scenActive;
+    /** Scenario cursor: which events fired, which are live, and the
+     * shift that places pending ones in effective time. */
+    scen::ScenCursor scen;
+    /** Per-link latency multipliers the capacity-only LinkNetwork
+     * cannot carry (link network only). */
     std::vector<double> linkLatScale;
-    std::uint32_t scenNextIdx = 0;
-    SimTime scenShift;
 
     /**
      * Pooled algorithmic-collective executions. Acquire
@@ -360,10 +349,10 @@ MachineState::clear(std::size_t nranks)
     barriers.clear();
     bus.clear();
     doneRanks = 0;
-    scenActive.clear();
+    scen.active.clear();
+    scen.nextIdx = 0;
+    scen.shift = SimTime::zero();
     linkLatScale.clear();
-    scenNextIdx = 0;
-    scenShift = SimTime::zero();
     // Every pooled CollExec is free at the start of a run (a
     // previous run that threw may have left some marked busy).
     collExecFree.clear();
@@ -439,21 +428,46 @@ class Engine
     [[noreturn]] void reportFailStop(std::uint32_t i, SimTime t);
     scen::FailureDiagnosis failStopDiagnosis(std::uint32_t i,
                                              SimTime t) const;
-    void flatScenCost(int src, int dst, Bytes bytes, SimTime begin,
-                      SimTime &ser, SimTime &lat) const;
-    SimTime applyFlatStalls(int src, int dst, SimTime begin,
-                            SimTime finish) const;
+    SimTime flatScenInject(int src, int dst, Bytes bytes,
+                           SimTime begin, SimTime &lat) const;
 
     /** Checkpoint/restart seam (see handleCheckpoint). */
     void handleCheckpoint(std::uint32_t level, SimTime t);
     void shiftMachine(SimTime by);
-    void takeSnapshot(SimTime anchor);
+    void takeSnapshot(std::uint32_t level, SimTime anchor);
     void restartFromCheckpoint(std::uint32_t i, SimTime t);
 
     std::uint32_t
     nodeOf(Rank r) const
     {
         return nodeOf_[static_cast<std::size_t>(r)];
+    }
+
+    /**
+     * Append a transfer src -> dst of `bytes` posted at `t` to the
+     * arena, with its timeline slot and the sender's message counts;
+     * the caller sets the protocol and request fields. Defined here
+     * so both posting paths inline it.
+     */
+    std::uint32_t
+    appendTransfer(Rank src, Rank dst, Bytes bytes, SimTime t)
+    {
+        const auto idx =
+            static_cast<std::uint32_t>(m_.transfers.size());
+        Transfer &transfer = m_.transfers.emplace_back();
+        if (m_.transfers.size() > stats_.arenaHighWater)
+            stats_.arenaHighWater = m_.transfers.size();
+        transfer.bytes = bytes;
+        transfer.src = src;
+        transfer.dst = dst;
+        if (nodeOf(src) == nodeOf(dst))
+            transfer.set(tfLocal);
+        if (capture_)
+            txMeta_.emplace_back().sendPost = t;
+        auto &result = m_.ranks[static_cast<std::size_t>(src)].result;
+        ++result.messagesSent;
+        result.bytesSent += bytes;
+        return idx;
     }
 
     /** Close the flat bus's release window (see FlatBus), starting
@@ -546,33 +560,6 @@ class Engine
     std::vector<std::uint8_t> scenConsumed_;
 
     /**
-     * Checkpoint/restart seam (src/res/), next to scenMode_. False
-     * keeps fail-stop semantics — and everything else —
-     * bit-identical to the checkpoint-free engine; true arms a
-     * coordinated-checkpoint chain whose handler freezes the whole
-     * machine for ckptCost_ per checkpoint and snapshots it, and
-     * reroutes fail-stop scenario events from FailureError into a
-     * rollback to the last snapshot plus restartCost_. The
-     * snapshot covers every feature, so timeline capture,
-     * algorithmic collectives and every scenario event kind replay
-     * under it; the only run()-start rejection is an interval that
-     * rounds to zero simulated time.
-     */
-    bool ckptMode_ = false;
-    SimTime ckptInterval_;
-    SimTime ckptCost_;
-    SimTime restartCost_;
-    /** Hierarchical second level: a slower, costlier global
-     * checkpoint chain whose image machine-wide (`all`) failures
-     * restore; narrower failures keep the cheap local level. */
-    bool ckptGlobalMode_ = false;
-    SimTime ckptGlobalInterval_;
-    SimTime ckptGlobalCost_;
-    SimTime restartGlobalCost_;
-    std::uint64_t checkpointsTaken_ = 0;
-    std::uint64_t restarts_ = 0;
-
-    /**
      * Machine image captured between two events at the last
      * checkpoint (and once at t = 0 before the event loop, so a
      * failure before the first checkpoint restarts from scratch):
@@ -584,11 +571,37 @@ class Engine
         MachineState state;
         net::LinkNetwork network;
     };
-    Snapshot snapshot_;
-    /** Image of the last global-level checkpoint (two-level mode;
-     * refreshed by every global checkpoint, restored by `all`
-     * failures). */
-    Snapshot snapshotGlobal_;
+
+    /** One coordinated-checkpoint chain and its last image. */
+    struct CkptLevel
+    {
+        SimTime interval;
+        SimTime cost;
+        SimTime restartCost;
+        Snapshot image;
+    };
+
+    /**
+     * Checkpoint/restart seam (src/res/), next to scenMode_. No
+     * live level keeps fail-stop semantics — and everything else —
+     * bit-identical to the checkpoint-free engine. Each level arms
+     * a checkpoint chain whose handler freezes the whole machine for
+     * the level's cost and images it, and fail-stop scenario events
+     * roll back to an image plus its restart cost instead of raising
+     * FailureError. Level 0 is the cheap local level; a hierarchical
+     * platform adds a slower, costlier global level whose image
+     * machine-wide (`all`) failures restore. The image covers every
+     * feature, so timeline capture, algorithmic collectives and
+     * every scenario event kind replay under it; the only
+     * run()-start rejection is an interval that rounds to zero
+     * simulated time. Only the first ckptLevelCount_ rows are
+     * live; the others keep their image arenas for later runs of
+     * the session.
+     */
+    std::array<CkptLevel, 2> ckptLevels_;
+    std::uint32_t ckptLevelCount_ = 0;
+    std::uint64_t checkpointsTaken_ = 0;
+    std::uint64_t restarts_ = 0;
 
     /**
      * LinkNetwork flow-id offset of background flows. Transfer
@@ -759,9 +772,12 @@ Engine::run(const ReplayProgram &program,
         scenario_ = scen::compileScenario(
             platform_.scenario, netMode_ ? &topo_ : nullptr,
             nodes);
-        m_.scenActive.assign(scenario_.eventCount(), 0);
+        m_.scen.active.assign(scenario_.eventCount(), 0);
+        scenConsumed_.assign(scenario_.eventCount(), 0);
         if (netMode_)
             m_.linkLatScale.assign(topo_.linkCount(), 1.0);
+    } else {
+        scenario_ = {};
     }
     capture_ = platform_.captureTimeline;
     if (capture_)
@@ -789,35 +805,28 @@ Engine::run(const ReplayProgram &program,
             coll_sends += sched->sendCount();
     }
 
-    // Checkpoint/restart seam: a snapshot is the whole MachineState
-    // plus the link network, so every feature combination replays
-    // under a positive interval.
-    ckptMode_ = platform_.checkpointing();
-    if (ckptMode_) {
-        ckptInterval_ =
-            SimTime::fromUs(platform_.checkpointIntervalUs);
-        ckptCost_ = SimTime::fromUs(platform_.checkpointCostUs);
-        restartCost_ = SimTime::fromUs(platform_.restartCostUs);
-        if (ckptInterval_.ns() <= 0) {
-            fatal("platform: checkpoint_interval_us is positive "
-                  "but rounds to zero nanoseconds");
+    // Checkpoint/restart seam: one table row per checkpoint level,
+    // the local level first.
+    ckptLevelCount_ = platform_.twoLevelCheckpointing() ? 2
+        : platform_.checkpointing()                      ? 1
+                                                         : 0;
+    const double levelUs[2][3] = {
+        {platform_.checkpointIntervalUs, platform_.checkpointCostUs,
+         platform_.restartCostUs},
+        {platform_.checkpointGlobalIntervalUs,
+         platform_.checkpointGlobalCostUs,
+         platform_.restartGlobalCostUs},
+    };
+    for (std::uint32_t l = 0; l < ckptLevelCount_; ++l) {
+        CkptLevel &level = ckptLevels_[l];
+        level.interval = SimTime::fromUs(levelUs[l][0]);
+        level.cost = SimTime::fromUs(levelUs[l][1]);
+        level.restartCost = SimTime::fromUs(levelUs[l][2]);
+        if (level.interval.ns() <= 0) {
+            fatal("platform: checkpoint", l > 0 ? "_global" : "",
+                  "_interval_us is positive but rounds to zero "
+                  "nanoseconds");
         }
-        ckptGlobalMode_ = platform_.twoLevelCheckpointing();
-        if (ckptGlobalMode_) {
-            ckptGlobalInterval_ = SimTime::fromUs(
-                platform_.checkpointGlobalIntervalUs);
-            ckptGlobalCost_ = SimTime::fromUs(
-                platform_.checkpointGlobalCostUs);
-            restartGlobalCost_ = SimTime::fromUs(
-                platform_.restartGlobalCostUs);
-            if (ckptGlobalInterval_.ns() <= 0) {
-                fatal("platform: checkpoint_global_interval_us is "
-                      "positive but rounds to zero nanoseconds");
-            }
-        }
-        scenConsumed_.assign(scenario_.eventCount(), 0);
-    } else {
-        ckptGlobalMode_ = false;
     }
 
     // The compiler counted the sends, so the transfer arena (one
@@ -860,18 +869,13 @@ Engine::run(const ReplayProgram &program,
     if (scenMode_)
         schedule(scenario_.event(0).time, EventKind::scenario, 0);
 
-    // Arm the coordinated-checkpoint chain(s) and capture the
-    // pristine t = 0 image a failure before the first checkpoint
-    // rolls back to (a from-scratch restart). The event target
-    // encodes the level: 0 local, 1 global.
-    if (ckptMode_) {
-        schedule(ckptInterval_, EventKind::checkpoint, 0);
-        if (ckptGlobalMode_)
-            schedule(ckptGlobalInterval_, EventKind::checkpoint, 1);
-        takeSnapshot(SimTime::zero());
-        if (ckptGlobalMode_)
-            snapshotGlobal_ = snapshot_;
-    }
+    // Arm one checkpoint chain per level (the event target is the
+    // level) and capture the pristine t = 0 image a failure before
+    // the first checkpoint rolls back to (a from-scratch restart).
+    for (std::uint32_t l = 0; l < ckptLevelCount_; ++l)
+        schedule(ckptLevels_[l].interval, EventKind::checkpoint, l);
+    if (ckptLevelCount_ > 0)
+        takeSnapshot(ckptLevelCount_ - 1, SimTime::zero());
 
     while (!m_.events.empty()) {
         const Event ev = m_.events.top();
@@ -1196,17 +1200,9 @@ Engine::postSend(RankCtx &ctx, const PackedOp &op,
     // out-of-range peers, and pre-packed the channel key.
     const ChannelKey key = op.a;
     const Bytes bytes = op.b;
-    const Rank dst = trace::channelDstOf(key);
-    const auto idx =
-        static_cast<std::uint32_t>(m_.transfers.size());
-    Transfer &t = m_.transfers.emplace_back();
-    if (m_.transfers.size() > stats_.arenaHighWater)
-        stats_.arenaHighWater = m_.transfers.size();
-    t.bytes = bytes;
-    t.src = ctx.rank;
-    t.dst = dst;
-    if (nodeOf(ctx.rank) == nodeOf(dst))
-        t.set(tfLocal);
+    const std::uint32_t idx = appendTransfer(
+        ctx.rank, trace::channelDstOf(key), bytes, ctx.now);
+    Transfer &t = m_.transfers[idx];
     const bool small = bytes <= platform_.eagerThreshold;
     const bool forced =
         send_req != noRequest && platform_.forceEagerIsend;
@@ -1214,14 +1210,9 @@ Engine::postSend(RankCtx &ctx, const PackedOp &op,
         t.set(tfEager);
     t.sendReq = send_req;
     if (capture_) {
-        TransferMeta &meta = txMeta_.emplace_back();
-        meta.message = program_->p2pMeta(op.d).message;
-        meta.sendPost = ctx.now;
-        meta.tag = trace::channelTagOf(key);
+        txMeta_[idx].message = program_->p2pMeta(op.d).message;
+        txMeta_[idx].tag = trace::channelTagOf(key);
     }
-
-    ++ctx.result.messagesSent;
-    ctx.result.bytesSent += bytes;
 
     // Match against an already-posted receive, FIFO per channel.
     ++stats_.channelProbes;
@@ -1376,21 +1367,11 @@ Engine::startTransfer(std::uint32_t idx, SimTime t)
         return;
     }
     if (scenMode_ && !local) {
-        // Flat-bus scenario pricing: the compiled stream is static,
-        // so the multipliers active at the transfer's start and
-        // every future stall window are known here and the final
-        // injection instant is computed analytically (degradations
-        // that begin mid-serialization are charged from the start —
-        // a coarser model than the link network's mid-flight
-        // re-sharing, by design of the flat path).
-        SimTime ser, lat;
-        flatScenCost(static_cast<int>(nodeOf(transfer.src)),
-                     static_cast<int>(nodeOf(transfer.dst)),
-                     transfer.bytes, begin, ser, lat);
-        const SimTime inject = applyFlatStalls(
+        SimTime lat;
+        const SimTime inject = flatScenInject(
             static_cast<int>(nodeOf(transfer.src)),
-            static_cast<int>(nodeOf(transfer.dst)), begin,
-            begin + ser);
+            static_cast<int>(nodeOf(transfer.dst)), transfer.bytes,
+            begin, lat);
         if (inject == SimTime::max())
             return; // stalled with no recovery: never finishes
         transfer.arriveTime = inject + lat;
@@ -1715,32 +1696,17 @@ void
 Engine::postCollTransfer(std::uint32_t c, Rank r,
                          const coll::Step &step, SimTime t)
 {
-    const Rank dst = step.peer;
-    const auto idx = static_cast<std::uint32_t>(m_.transfers.size());
-    Transfer &transfer = m_.transfers.emplace_back();
-    if (m_.transfers.size() > stats_.arenaHighWater)
-        stats_.arenaHighWater = m_.transfers.size();
-    transfer.bytes = step.bytes;
-    transfer.src = r;
-    transfer.dst = dst;
+    // Collective steps carry no trace message id or tag.
+    const std::uint32_t idx =
+        appendTransfer(r, step.peer, step.bytes, t);
+    Transfer &transfer = m_.transfers[idx];
     transfer.set(tfColl);
     // Eager semantics: the schedule executor owns the sender's
     // pacing (the cursor waits for injection), so the transfer
     // itself never blocks and never enters rendezvous.
     transfer.set(tfEager);
-    if (nodeOf(r) == nodeOf(dst))
-        transfer.set(tfLocal);
     transfer.sendReq = c;
     transfer.recvReq = step.slot;
-    if (capture_) {
-        // Keep the meta arena parallel; collective steps carry no
-        // trace message id or tag.
-        TransferMeta &meta = txMeta_.emplace_back();
-        meta.sendPost = t;
-    }
-    auto &result = m_.ranks[static_cast<std::size_t>(r)].result;
-    ++result.messagesSent;
-    result.bytesSent += step.bytes;
     makeEligible(idx, t);
 }
 
@@ -1855,26 +1821,20 @@ Engine::recordCommEvent(std::uint32_t idx, SimTime recv_complete)
 void
 Engine::handleScenarioEvent(std::uint32_t i, SimTime t)
 {
-    // Checkpointed replays interpret the compiled stream as
-    // machine-progress time: the freeze of every checkpoint (and
-    // the delta of every rollback) shifted this event along with
-    // the rest of the machine, so its successor is armed by the
-    // compiled inter-event gap from the instant this one actually
-    // fired — identical to the absolute times of the plain path
-    // when nothing froze, and exactly compiled(i+1) + m_.scenShift.
+    // The stream runs on machine-progress time: every checkpoint
+    // freeze and rollback shifted the pending event with the rest
+    // of the machine, so the successor fires at its compiled time
+    // plus the accumulated shift (zero on a plain replay).
     if (i + 1 < scenario_.eventCount()) {
-        schedule(ckptMode_
-                     ? t + (scenario_.event(i + 1).time -
-                            scenario_.event(i).time)
-                     : scenario_.event(i + 1).time,
+        schedule(scenario_.event(i + 1).time + m_.scen.shift,
                  EventKind::scenario, i + 1);
     }
-    m_.scenNextIdx = i + 1;
+    m_.scen.nextIdx = i + 1;
     ++stats_.scenarioEvents;
     const scen::ScenarioEvent &ev = scenario_.event(i);
     switch (ev.kind) {
       case scen::ScenEventKind::degrade:
-        m_.scenActive[i] = 1;
+        m_.scen.active[i] = 1;
         if (netMode_) {
             applyScenLinkScales(i);
             network_.applyScales(t);
@@ -1885,7 +1845,7 @@ Engine::handleScenarioEvent(std::uint32_t i, SimTime t)
       case scen::ScenEventKind::recover: {
         const std::uint32_t m = scenario_.matchOf(i);
         const scen::ScenarioEvent &undone = scenario_.event(m);
-        m_.scenActive[m] = 0;
+        m_.scen.active[m] = 0;
         if (netMode_) {
             applyScenLinkScales(m);
             network_.applyScales(t);
@@ -1912,7 +1872,7 @@ Engine::handleScenarioEvent(std::uint32_t i, SimTime t)
             // events.
             if (m_.doneRanks >= nranks_)
                 break;
-            if (!ckptMode_)
+            if (ckptLevelCount_ == 0)
                 reportFailStop(i, t);
             // A rollback replays the stream from the snapshot's
             // cursor, so this failure fires again out of the
@@ -1924,7 +1884,7 @@ Engine::handleScenarioEvent(std::uint32_t i, SimTime t)
             }
             break;
         }
-        m_.scenActive[i] = 1;
+        m_.scen.active[i] = 1;
         if (netMode_) {
             applyScenLinkScales(i);
             network_.applyScales(t);
@@ -1963,7 +1923,7 @@ Engine::applyScenLinkScales(std::size_t i)
         double bw = 1.0;
         double lat = 1.0;
         for (std::size_t j = 0; j < scenario_.eventCount(); ++j) {
-            if (!m_.scenActive[j] ||
+            if (!m_.scen.active[j] ||
                 !scenario_.linkSetContains(j, link))
                 continue;
             const scen::ScenarioEvent &ej = scenario_.event(j);
@@ -2012,7 +1972,7 @@ void
 Engine::startBackgroundFlow(std::uint32_t i, SimTime t)
 {
     const scen::ScenarioEvent &ev = scenario_.event(i);
-    m_.scenActive[i] = 1;
+    m_.scen.active[i] = 1;
     if (netMode_) {
         const SimTime finish = network_.start(
             bgIdBase + i, ev.nodeA, ev.nodeB, ev.bytes, t);
@@ -2022,19 +1982,43 @@ Engine::startBackgroundFlow(std::uint32_t i, SimTime t)
     }
     m_.bus.hold(static_cast<std::uint32_t>(ev.nodeA),
                 static_cast<std::uint32_t>(ev.nodeB));
-    SimTime ser, lat;
-    flatScenCost(ev.nodeA, ev.nodeB, ev.bytes, t, ser, lat);
+    SimTime lat;
     const SimTime finish =
-        applyFlatStalls(ev.nodeA, ev.nodeB, t, t + ser);
+        flatScenInject(ev.nodeA, ev.nodeB, ev.bytes, t, lat);
     if (finish == SimTime::max())
         return; // stalled forever; the resources stay held
     schedule(finish, EventKind::backgroundFinish, i);
 }
 
+/**
+ * Flat-bus scenario pricing of a remote src -> dst node transfer
+ * starting at `begin`, in the effective time of the scenario cursor:
+ * returns the injection instant (SimTime::max() when a stall never
+ * recovers) and sets `lat` to the degraded flight latency.
+ */
+SimTime
+Engine::flatScenInject(int src, int dst, Bytes bytes, SimTime begin,
+                       SimTime &lat) const
+{
+    const scen::FlatScale scale =
+        scen::flatScaleAt(scenario_, m_.scen, src, dst, begin);
+    const double ser_ns = static_cast<double>(bytes) * 1e3 /
+        (platform_.bandwidthMBps * scale.bandwidth);
+    lat = scale.latency == 1.0
+        ? latencyRemote_
+        : SimTime::fromNs(static_cast<std::int64_t>(std::llround(
+              static_cast<double>(latencyRemote_.ns()) *
+              scale.latency)));
+    return scen::flatStallFinish(
+        scenario_, m_.scen, src, dst, begin,
+        begin + SimTime::fromNs(static_cast<std::int64_t>(
+                    std::llround(ser_ns))));
+}
+
 void
 Engine::handleBackgroundFinish(std::uint32_t i, SimTime t)
 {
-    if (!m_.scenActive[i])
+    if (!m_.scen.active[i])
         return; // stale event after completion
     if (netMode_) {
         const auto check =
@@ -2046,11 +2030,11 @@ Engine::handleBackgroundFinish(std::uint32_t i, SimTime t)
             }
             return;
         }
-        m_.scenActive[i] = 0;
+        m_.scen.active[i] = 0;
         drainNetReschedules();
         return;
     }
-    m_.scenActive[i] = 0;
+    m_.scen.active[i] = 0;
     const scen::ScenarioEvent &ev = scenario_.event(i);
     m_.bus.release(static_cast<std::uint32_t>(ev.nodeA),
                    static_cast<std::uint32_t>(ev.nodeB));
@@ -2092,7 +2076,7 @@ Engine::reportFailStop(std::uint32_t i, SimTime t)
 
 /**
  * A coordinated checkpoint fires at `t`: every rank stops, the
- * machine image is written out over ckptCost_, and execution
+ * machine image is written out over the level's cost, and execution
  * resumes shifted by exactly that cost. The freeze is a uniform
  * shift of every pending instant — heap events and link-network
  * flow clocks — which preserves their relative order, so the
@@ -2101,7 +2085,7 @@ Engine::reportFailStop(std::uint32_t i, SimTime t)
  * moved, so the freeze lands in its blocked-time accounting, and a
  * self-resuming rank wakes at the shifted instant (wakeRank only
  * moves clocks forward). The snapshot is taken after the shift,
- * anchored at t + ckptCost_ — the instant the written image is
+ * anchored at t + cost — the instant the written image is
  * consistent and restartable.
  */
 void
@@ -2112,25 +2096,18 @@ Engine::handleCheckpoint(std::uint32_t level, SimTime t)
     if (m_.doneRanks >= nranks_)
         return;
     ++checkpointsTaken_;
-    const bool global = level == 1;
-    const SimTime cost = global ? ckptGlobalCost_ : ckptCost_;
+    const SimTime cost = ckptLevels_[level].cost;
     shiftMachine(cost);
     // Arm the successor BEFORE imaging the machine: the snapshot
     // carries the whole heap, checkpoint chain included, so a
     // restore finds its next checkpoint pending exactly one
     // interval past the restart instant (anchor + interval + delta
     // = restore_at + interval) without any re-arming.
-    schedule(t + cost +
-                 (global ? ckptGlobalInterval_ : ckptInterval_),
+    schedule(t + cost + ckptLevels_[level].interval,
              EventKind::checkpoint, level);
-    takeSnapshot(t + cost);
+    takeSnapshot(level, t + cost);
     if (capture_)
-        timeline_.addCheckpoint(t + cost, global);
-    // A global checkpoint also refreshes the local image: the
-    // newest restartable image is always at least as recent at the
-    // cheap level as at the expensive one.
-    if (global)
-        snapshotGlobal_ = snapshot_;
+        timeline_.addCheckpoint(t + cost, level > 0);
 }
 
 /**
@@ -2155,8 +2132,7 @@ Engine::shiftMachine(SimTime by)
         m_.events[k].time += by;
     if (netMode_)
         network_.shiftFlowClocks(by);
-    if (scenMode_)
-        m_.scenShift += by;
+    m_.scen.shift += by;
 }
 
 /**
@@ -2166,14 +2142,20 @@ Engine::shiftMachine(SimTime by)
  * high-water mark.
  */
 void
-Engine::takeSnapshot(SimTime anchor)
+Engine::takeSnapshot(std::uint32_t level, SimTime anchor)
 {
     ovlAssert(broadcastPending_ == 0,
               "checkpoint inside a release broadcast");
-    snapshot_.anchor = anchor;
-    snapshot_.state = m_;
+    Snapshot &image = ckptLevels_[level].image;
+    image.anchor = anchor;
+    image.state = m_;
     if (netMode_)
-        snapshot_.network = network_;
+        image.network = network_;
+    // A checkpoint also refreshes every cheaper level's image: the
+    // newest restartable image is always at least as recent at the
+    // cheap level as at the expensive one.
+    for (std::uint32_t l = 0; l < level; ++l)
+        ckptLevels_[l].image = image;
 }
 
 /**
@@ -2231,11 +2213,12 @@ Engine::restartFromCheckpoint(std::uint32_t i, SimTime t)
     }
     ovlAssert(broadcastPending_ == 0,
               "restart inside a release broadcast");
-    const bool global = ckptGlobalMode_ &&
-        scenario_.event(i).target == scen::ScenTarget::all;
-    const Snapshot &s = global ? snapshotGlobal_ : snapshot_;
-    const SimTime restore_at =
-        t + (global ? restartGlobalCost_ : restartCost_);
+    const CkptLevel &level = ckptLevels_[
+        scenario_.event(i).target == scen::ScenTarget::all
+            ? ckptLevelCount_ - 1
+            : 0];
+    const Snapshot &s = level.image;
+    const SimTime restore_at = t + level.restartCost;
     ovlAssert(restore_at >= s.anchor,
               "fail-stop fired before the checkpoint it rolls "
               "back to");
@@ -2321,132 +2304,6 @@ Engine::restartFromCheckpoint(std::uint32_t i, SimTime t)
     }
 }
 
-/**
- * Flat-bus scenario pricing of a remote src -> dst node transfer
- * starting at `begin`: serialization and flight latency under the
- * product of the multipliers of every degrade event active at that
- * instant.
- */
-void
-Engine::flatScenCost(int src, int dst, Bytes bytes, SimTime begin,
-                     SimTime &ser, SimTime &lat) const
-{
-    double bw = 1.0;
-    double latm = 1.0;
-    for (std::size_t i = 0; i < scenario_.eventCount(); ++i) {
-        const scen::ScenarioEvent &ev = scenario_.event(i);
-        if (ev.kind != scen::ScenEventKind::degrade)
-            continue;
-        if (ckptMode_) {
-            // Effective-time window test: a fired degrade applies
-            // while its activity flag is up (its pending recovery
-            // is necessarily in the future); a pending one applies
-            // only at the boundary instant where its shifted
-            // compiled time has been reached but the event has not
-            // popped yet.
-            if (i < m_.scenNextIdx) {
-                if (!m_.scenActive[i])
-                    continue;
-            } else {
-                const SimTime rec = scenario_.recoveryTimeOf(i);
-                if (ev.time + m_.scenShift > begin ||
-                    (rec != SimTime::max() &&
-                     begin >= rec + m_.scenShift))
-                    continue;
-            }
-        } else if (!(ev.time <= begin &&
-                     begin < scenario_.recoveryTimeOf(i))) {
-            continue;
-        }
-        if (!ev.matchesPair(src, dst))
-            continue;
-        bw *= ev.bandwidthFactor;
-        latm *= ev.latencyFactor;
-    }
-    const double ser_ns = static_cast<double>(bytes) * 1e3 /
-        (platform_.bandwidthMBps * bw);
-    ser = SimTime::fromNs(
-        static_cast<std::int64_t>(std::llround(ser_ns)));
-    lat = latm == 1.0
-        ? latencyRemote_
-        : SimTime::fromNs(static_cast<std::int64_t>(std::llround(
-              static_cast<double>(latencyRemote_.ns()) * latm)));
-}
-
-/**
- * Extend a flat-bus serialization ending at `finish` across every
- * stall window that covers the src -> dst pair: while a window is
- * open the payload makes no progress, so each window starting
- * before the (already extended) finish pushes it out by the
- * window's remaining length. Windows are visited in start order
- * (the stream is time-sorted) and overlapping ones are merged so
- * concurrent stalls do not double-charge. Returns SimTime::max()
- * for a transfer caught by a stall that never recovers.
- */
-SimTime
-Engine::applyFlatStalls(int src, int dst, SimTime begin,
-                        SimTime finish) const
-{
-    bool have = false;
-    SimTime winStart, winEnd;
-    const auto apply = [&]() {
-        if (finish == SimTime::max() || winEnd <= begin)
-            return;
-        const SimTime eff =
-            winStart > begin ? winStart : begin;
-        if (eff >= finish)
-            return;
-        if (winEnd == SimTime::max()) {
-            finish = SimTime::max();
-            return;
-        }
-        finish += winEnd - eff;
-    };
-    for (std::size_t i = 0; i < scenario_.eventCount(); ++i) {
-        const scen::ScenarioEvent &ev = scenario_.event(i);
-        if (ev.kind != scen::ScenEventKind::fail ||
-            ev.semantics != scen::FailSemantics::stall)
-            continue;
-        if (!ev.matchesPair(src, dst))
-            continue;
-        SimTime s = ev.time;
-        SimTime r = scenario_.recoveryTimeOf(i);
-        if (ckptMode_) {
-            // Effective-time windows, mirroring flatScenCost: a
-            // fired-and-active stall reaches the present (only its
-            // remainder past `begin` matters, so `begin` is as good
-            // a start as the historical one), a fired-and-recovered
-            // one is spent, and a pending one sits at its shifted
-            // compiled instants. Index order still visits windows
-            // in non-decreasing start order: fired-active windows
-            // collapse to `begin` and pending ones keep the
-            // compiled time order under a uniform shift.
-            if (i < m_.scenNextIdx) {
-                if (!m_.scenActive[i])
-                    continue;
-                s = begin;
-            } else {
-                s = s + m_.scenShift;
-            }
-            if (r != SimTime::max())
-                r = r + m_.scenShift;
-        }
-        if (have && s <= winEnd) {
-            if (r > winEnd)
-                winEnd = r;
-            continue;
-        }
-        if (have)
-            apply();
-        winStart = s;
-        winEnd = r;
-        have = true;
-    }
-    if (have)
-        apply();
-    return finish;
-}
-
 void
 Engine::reportDeadlock() const
 {
@@ -2496,7 +2353,7 @@ Engine::reportDeadlock() const
         // likely culprit; say so.
         for (std::size_t i = 0; i < scenario_.eventCount(); ++i) {
             const scen::ScenarioEvent &ev = scenario_.event(i);
-            if (m_.scenActive[i] &&
+            if (m_.scen.active[i] &&
                 ev.kind == scen::ScenEventKind::fail &&
                 ev.semantics == scen::FailSemantics::stall &&
                 scenario_.matchOf(i) == scen::CompiledScenario::npos) {

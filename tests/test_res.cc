@@ -26,6 +26,10 @@
  *    simulated time remains fatal,
  *  - a zero checkpoint interval keeps PR-6 fail-stop semantics
  *    (FailureError) and leaves failure-free replays bit-identical,
+ *    and a checkpoint chain that never fires leaves replays
+ *    untouched, flat-bus degrade, stall and background scenarios
+ *    included (checkpointed and plain replays share one scenario
+ *    clock),
  *  - checkpointed replays with in-flight routed transfers roll
  *    back, conserve link occupancy (engine-internal assert) and
  *    stay bit-identical across runs; a seeded fuzz harness pits
@@ -538,23 +542,65 @@ TEST(CheckpointRestartTest, UnfiredCheckpointLeavesRankTimesUntouched)
     // An interval beyond the completion time takes no checkpoint
     // and perturbs no rank observable (the pending checkpoint event
     // itself is the only extra event processed).
-    const auto bundle = testing::traceOf(
-        4, testing::ringExchange(64 * 1024, 400'000, 3));
-    const auto base = testing::platformAt(512.0);
-    auto late = base;
-    late.checkpointIntervalUs = 1e9;
+    const auto expectUntouched = [](const tracer::TraceBundle &bundle,
+                                    const sim::PlatformConfig &base) {
+        auto late = base;
+        late.checkpointIntervalUs = 1e9;
+        const auto a = sim::simulate(bundle.traces, base);
+        const auto b = sim::simulate(bundle.traces, late);
+        EXPECT_EQ(b.checkpoints, 0u);
+        EXPECT_EQ(a.totalTime.ns(), b.totalTime.ns());
+        ASSERT_EQ(a.perRank.size(), b.perRank.size());
+        for (std::size_t r = 0; r < a.perRank.size(); ++r) {
+            EXPECT_EQ(a.perRank[r].endTime.ns(),
+                      b.perRank[r].endTime.ns());
+            EXPECT_EQ(a.perRank[r].computeTime.ns(),
+                      b.perRank[r].computeTime.ns());
+            EXPECT_EQ(a.perRank[r].bytesSent, b.perRank[r].bytesSent);
+        }
+    };
+    expectUntouched(
+        testing::traceOf(
+            4, testing::ringExchange(64 * 1024, 400'000, 3)),
+        testing::platformAt(512.0));
 
-    const auto a = sim::simulate(bundle.traces, base);
-    const auto b = sim::simulate(bundle.traces, late);
-    EXPECT_EQ(b.checkpoints, 0u);
-    EXPECT_EQ(a.totalTime.ns(), b.totalTime.ns());
-    ASSERT_EQ(a.perRank.size(), b.perRank.size());
-    for (std::size_t r = 0; r < a.perRank.size(); ++r) {
-        EXPECT_EQ(a.perRank[r].endTime.ns(),
-                  b.perRank[r].endTime.ns());
-        EXPECT_EQ(a.perRank[r].computeTime.ns(),
-                  b.perRank[r].computeTime.ns());
-        EXPECT_EQ(a.perRank[r].bytesSent, b.perRank[r].bytesSent);
+    // Flat-bus scenarios price checkpointed and plain replays by the
+    // same effective-time windows. The 1 MB rendezvous send posted
+    // at 200 us starts at 250 us, after a degrade recovering at
+    // 220 us: the transfer runs at full rate (1458 us total, not
+    // the 2458 us of a degrade sampled by its still-raised flag).
+    const auto pc = testing::traceOf(
+        2, testing::producerConsumer(1'000'000, 200'000, 1));
+    auto flat = testing::platformAt(1000.0);
+    flat.eagerThreshold = 0;
+    flat.rendezvousOverheadUs = 50.0;
+    ScenarioEvent degrade;
+    degrade.kind = ScenEventKind::degrade;
+    degrade.bandwidthFactor = 0.5;
+    ScenarioEvent recover;
+    recover.kind = ScenEventKind::recover;
+    recover.time = SimTime::fromUs(220.0);
+    ScenarioEvent stall = nodeFail(300.0, 1);
+    stall.semantics = FailSemantics::stall;
+    ScenarioEvent unstall = recover;
+    unstall.target = ScenTarget::node;
+    unstall.nodeA = 1;
+    unstall.time = SimTime::fromUs(400.0);
+    ScenarioEvent background;
+    background.kind = ScenEventKind::background;
+    background.target = ScenTarget::route;
+    background.nodeA = 0;
+    background.nodeB = 1;
+    background.bytes = 100'000;
+    const std::vector<std::vector<ScenarioEvent>> scenarios = {
+        {degrade, recover},
+        {stall, unstall},
+        {background, degrade, recover},
+    };
+    for (const auto &events : scenarios) {
+        auto platform = flat;
+        platform.scenario.events = events;
+        expectUntouched(pc, platform);
     }
 }
 

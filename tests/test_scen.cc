@@ -17,6 +17,9 @@
  *    stall deadlocks with the scenario named in the diagnosis,
  *  - a scenario-free or not-yet-fired scenario leaves the replay
  *    untouched (the bit-identity seam),
+ *  - the flat-bus pricing (scen::flatScaleAt, scen::flatStallFinish)
+ *    equals a boundary-walk reference on random streams, cursors
+ *    and shifts,
  *  - degradedSweep campaigns are bit-identical across thread counts,
  *  - platform files reject duplicate keys and name the file and
  *    line in every parse error (the scenario_file key included).
@@ -606,6 +609,147 @@ TEST(EngineScenTest, FlatStallShiftsTheFinishByTheWindow)
         EXPECT_EQ(result.perRank[r].bytesSent,
                   nominal.perRank[r].bytesSent)
             << "rank " << r;
+    }
+}
+
+/** A stall window [start, end) in effective time. */
+struct StallWindow
+{
+    SimTime start;
+    SimTime end;
+};
+
+/**
+ * Reference for scen::flatStallFinish: walk the sorted window
+ * boundaries from `begin`, letting the payload progress only at
+ * instants no stall window covers.
+ */
+SimTime
+referenceStallFinish(const std::vector<StallWindow> &windows,
+                     SimTime begin, SimTime finish)
+{
+    std::vector<SimTime> bounds = {begin};
+    for (const auto &w : windows) {
+        bounds.push_back(w.start);
+        bounds.push_back(w.end);
+    }
+    std::sort(bounds.begin(), bounds.end());
+    SimTime now = begin;
+    SimTime remaining = finish - begin;
+    while (remaining > SimTime::zero()) {
+        bool stalled = false;
+        for (const auto &w : windows) {
+            if (w.start <= now && now < w.end) {
+                if (w.end == SimTime::max())
+                    return SimTime::max();
+                stalled = true;
+            }
+        }
+        // Coverage is constant up to the next boundary.
+        const auto next =
+            std::upper_bound(bounds.begin(), bounds.end(), now);
+        if (stalled) {
+            now = *next;
+            continue;
+        }
+        const SimTime step =
+            next == bounds.end() || *next == SimTime::max()
+            ? remaining
+            : std::min(remaining, *next - now);
+        now += step;
+        remaining -= step;
+    }
+    return now;
+}
+
+/**
+ * Randomized oracle for the flat-bus pricing: overlapping and
+ * never-recovering stalls and degrades, random cursor positions,
+ * flags and shifts. A pending event spans its compiled window
+ * shifted by the cursor; a fired one is live from the start of time
+ * while its flag is up and before its shifted recovery.
+ */
+TEST(ScenFlatPricingTest, MatchesBoundaryWalkReference)
+{
+    constexpr int nodes = 3;
+    const auto us = [](std::int64_t v) { return SimTime::fromUs(v); };
+    for (std::uint64_t iter = 0; iter < 4000; ++iter) {
+        CounterRng rng(0x5ca1ab1e, iter);
+        ScenarioConfig config;
+        const int count = static_cast<int>(rng.nextInRange(1, 6));
+        for (int k = 0; k < count; ++k) {
+            ScenarioEvent ev;
+            ev.time = us(25 * rng.nextInRange(0, 40));
+            ev.target = static_cast<ScenTarget>(rng.nextBelow(4));
+            if (ev.target != ScenTarget::all) {
+                ev.nodeA = static_cast<int>(rng.nextBelow(nodes));
+                ev.nodeB = (ev.nodeA + 1) % nodes;
+            }
+            if (ev.target == ScenTarget::node)
+                ev.nodeB = -1;
+            if (rng.nextBool()) {
+                ev.kind = ScenEventKind::degrade;
+                ev.bandwidthFactor = rng.nextDouble(0.1, 1.0);
+                ev.latencyFactor = rng.nextDouble(1.0, 4.0);
+            } else {
+                ev.kind = ScenEventKind::fail;
+                ev.semantics = FailSemantics::stall;
+            }
+            config.events.push_back(ev);
+            if (rng.nextBool(0.75)) {
+                ScenarioEvent rec = recoverEvent(
+                    0.0, ev.target, ev.nodeA, ev.nodeB);
+                rec.time = ev.time + us(25 * rng.nextInRange(1, 20));
+                config.events.push_back(rec);
+            }
+        }
+        const auto compiled =
+            scen::compileScenario(config, nullptr, nodes);
+        scen::ScenCursor cursor;
+        cursor.nextIdx = static_cast<std::uint32_t>(
+            rng.nextBelow(compiled.eventCount() + 1));
+        cursor.active.resize(compiled.eventCount());
+        for (auto &flag : cursor.active)
+            flag = rng.nextBool() ? 1 : 0;
+        cursor.shift = us(rng.nextInRange(0, 300));
+        const int src = static_cast<int>(rng.nextBelow(nodes));
+        const int dst = (src + 1 + static_cast<int>(rng.nextBelow(
+                                       nodes - 1))) %
+            nodes;
+        const SimTime begin = us(rng.nextInRange(0, 1500));
+        const SimTime finish = begin + us(rng.nextInRange(0, 400));
+
+        double bw = 1.0, lat = 1.0;
+        std::vector<StallWindow> stalls;
+        for (std::size_t i = 0; i < compiled.eventCount(); ++i) {
+            const ScenarioEvent &ev = compiled.event(i);
+            if (ev.kind == ScenEventKind::recover ||
+                !ev.matchesPair(src, dst))
+                continue;
+            const SimTime rec = compiled.recoveryTimeOf(i);
+            const SimTime end =
+                rec == SimTime::max() ? rec : rec + cursor.shift;
+            const bool fired = i < cursor.nextIdx;
+            if (fired && !cursor.active[i])
+                continue;
+            const SimTime start = fired ? SimTime::zero()
+                                        : ev.time + cursor.shift;
+            if (ev.kind == ScenEventKind::fail) {
+                stalls.push_back({start, end});
+            } else if (start <= begin && begin < end) {
+                bw *= ev.bandwidthFactor;
+                lat *= ev.latencyFactor;
+            }
+        }
+        const auto scale =
+            scen::flatScaleAt(compiled, cursor, src, dst, begin);
+        EXPECT_EQ(scale.bandwidth, bw) << "iteration " << iter;
+        EXPECT_EQ(scale.latency, lat) << "iteration " << iter;
+        EXPECT_EQ(scen::flatStallFinish(compiled, cursor, src, dst,
+                                        begin, finish)
+                      .ns(),
+                  referenceStallFinish(stalls, begin, finish).ns())
+            << "iteration " << iter;
     }
 }
 
