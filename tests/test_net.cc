@@ -24,8 +24,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <queue>
 #include <sstream>
+#include <tuple>
 #include <vector>
 
 #include "core/analysis.hh"
@@ -34,6 +37,7 @@
 #include "net/topology.hh"
 #include "sim/engine.hh"
 #include "sim/platform_file.hh"
+#include "util/counter_rng.hh"
 
 namespace ovlsim {
 namespace {
@@ -416,6 +420,278 @@ TEST(LinkNetworkTest, LateArrivalSlowsAndCompletionSpeedsUp)
     EXPECT_EQ(done[0].second.ns(), 6144);
     EXPECT_EQ(done[1].first, 1u);
     EXPECT_EQ(done[1].second.ns(), 8192);
+}
+
+/** One flow of a differential run: admitted at `start`. */
+struct RefFlowSpec
+{
+    int src = 0;
+    int dst = 0;
+    Bytes bytes = 0;
+    std::int64_t start = 0;
+};
+
+/** A scenario capacity change: `links` scale to `scale` at `time`. */
+struct RefScaleChange
+{
+    std::int64_t time = 0;
+    std::vector<std::uint32_t> links;
+    double scale = 1.0;
+};
+
+/**
+ * Reference fluid model: the same physics as LinkNetwork (equal
+ * shares of each link, a flow runs at its bottleneck share, finish
+ * instants ceil to the integer-ns clock), computed the naive way.
+ * At every admission, completion and scale change it settles every
+ * flow and recomputes every share and every finish instant from
+ * scratch: no touched-link filter, no lazy re-arm, no event heap.
+ *
+ * It is exact. With a 1 B/ns base, integer link factors, scales in
+ * quarters and at most maxRefFlows flows, every share is a multiple
+ * of 1 / refUnit B/ns, so bytes are counted in units of 1 / refUnit
+ * and every settle and ceil is integer arithmetic. Returns the
+ * finish instant of each flow, in ns.
+ */
+constexpr std::int64_t maxRefFlows = 24;
+/** 4 * lcm(1..24): quarters of a link divided among <= 24 flows. */
+constexpr std::int64_t refUnit = 4 * 5'354'228'880;
+
+std::vector<std::int64_t>
+referenceFinishes(const CompiledTopology &topo,
+                  const std::vector<RefFlowSpec> &flows,
+                  std::vector<RefScaleChange> changes)
+{
+    constexpr std::int64_t never =
+        std::numeric_limits<std::int64_t>::max();
+    EXPECT_LE(static_cast<std::int64_t>(flows.size()), maxRefFlows);
+    // Link capacity in units of 1 / refUnit B/ns, before sharing.
+    const auto capacityAt = [&](std::uint32_t l, double scale) {
+        const double units = topo.linkFactor(l) * scale * 4.0;
+        EXPECT_EQ(units, std::floor(units)) << "link " << l;
+        return static_cast<std::int64_t>(units) * (refUnit / 4);
+    };
+    std::vector<std::int64_t> capacity(topo.linkCount());
+    for (std::uint32_t l = 0; l < topo.linkCount(); ++l)
+        capacity[l] = capacityAt(l, 1.0);
+    std::stable_sort(changes.begin(), changes.end(),
+                     [](const auto &a, const auto &b) {
+                         return a.time < b.time;
+                     });
+
+    struct Live
+    {
+        std::uint32_t id;
+        std::int64_t remaining; // 1 / refUnit bytes
+        std::int64_t rate = 0;  // 1 / refUnit B/ns
+        std::int64_t finish = 0;
+    };
+    std::vector<Live> live;
+    std::vector<std::int64_t> finish(flows.size(), never);
+    std::vector<bool> admitted(flows.size(), false);
+    std::size_t next_change = 0;
+    std::int64_t now = 0;
+    while (true) {
+        // The next instant anything happens.
+        std::int64_t t = never;
+        for (std::size_t i = 0; i < flows.size(); ++i) {
+            if (!admitted[i])
+                t = std::min(t, flows[i].start);
+        }
+        if (next_change < changes.size())
+            t = std::min(t, changes[next_change].time);
+        for (const Live &f : live)
+            t = std::min(t, f.finish);
+        if (t == never)
+            break;
+        // Settle every flow, retire the ones due now, admit the
+        // arrivals, apply the scale changes.
+        for (Live &f : live)
+            f.remaining = std::max<std::int64_t>(
+                0, f.remaining - f.rate * (t - now));
+        now = t;
+        for (const Live &f : live) {
+            if (f.finish == now)
+                finish[f.id] = now;
+        }
+        std::erase_if(live,
+                      [&](const Live &f) { return f.finish == now; });
+        for (std::size_t i = 0; i < flows.size(); ++i) {
+            if (!admitted[i] && flows[i].start == now) {
+                admitted[i] = true;
+                live.push_back({static_cast<std::uint32_t>(i),
+                                static_cast<std::int64_t>(
+                                    flows[i].bytes) *
+                                    refUnit});
+            }
+        }
+        for (; next_change < changes.size() &&
+             changes[next_change].time == now;
+             ++next_change) {
+            for (const std::uint32_t l : changes[next_change].links)
+                capacity[l] =
+                    capacityAt(l, changes[next_change].scale);
+        }
+        // Every share and every finish, from scratch.
+        std::vector<std::int64_t> load(topo.linkCount(), 0);
+        for (const Live &f : live) {
+            for (const std::uint32_t l :
+                 topo.route(flows[f.id].src, flows[f.id].dst))
+                ++load[l];
+        }
+        for (Live &f : live) {
+            f.rate = never;
+            for (const std::uint32_t l :
+                 topo.route(flows[f.id].src, flows[f.id].dst))
+                f.rate = std::min(f.rate, capacity[l] / load[l]);
+            if (f.remaining == 0)
+                f.finish = now;
+            else if (f.rate == 0)
+                f.finish = never;
+            else
+                f.finish = now + (f.remaining + f.rate - 1) / f.rate;
+        }
+    }
+    return finish;
+}
+
+/**
+ * Drive LinkNetwork the way the engine does: one event heap ordered
+ * by (time, sequence) holding admissions, scale changes and finish
+ * events; early finish events re-arm, completions and applyScales
+ * hand back speedups to schedule, and events of finished flows are
+ * dropped. Returns the finish instant of each flow, in ns.
+ */
+std::vector<std::int64_t>
+linkNetworkFinishes(const CompiledTopology &topo, double base_mbps,
+                    const std::vector<RefFlowSpec> &flows,
+                    const std::vector<RefScaleChange> &changes)
+{
+    enum Kind : std::uint32_t { admit, change, finish };
+    // (time, seq, kind, index)
+    using Ev = std::tuple<std::int64_t, std::uint64_t, std::uint32_t,
+                          std::uint32_t>;
+    std::priority_queue<Ev, std::vector<Ev>, std::greater<Ev>> heap;
+    std::uint64_t seq = 0;
+    for (std::uint32_t i = 0; i < flows.size(); ++i)
+        heap.push({flows[i].start, seq++, admit, i});
+    for (std::uint32_t i = 0; i < changes.size(); ++i)
+        heap.push({changes[i].time, seq++, change, i});
+
+    LinkNetwork net;
+    net.configure(&topo, base_mbps);
+    std::vector<std::int64_t> done(
+        flows.size(), std::numeric_limits<std::int64_t>::max());
+    const auto drain = [&]() {
+        for (const auto &[id, at] : net.pendingReschedules())
+            heap.push({at.ns(), seq++, finish, id});
+        net.clearPendingReschedules();
+    };
+    while (!heap.empty()) {
+        const auto [ns, s, kind, i] = heap.top();
+        heap.pop();
+        const SimTime now = SimTime::fromNs(ns);
+        if (kind == admit) {
+            const SimTime at = net.start(i, flows[i].src, flows[i].dst,
+                                         flows[i].bytes, now);
+            if (at != SimTime::max())
+                heap.push({at.ns(), seq++, finish, i});
+        } else if (kind == change) {
+            for (const std::uint32_t l : changes[i].links)
+                net.setLinkScale(l, changes[i].scale);
+            net.applyScales(now);
+            drain();
+        } else if (done[i] == std::numeric_limits<std::int64_t>::max()) {
+            const auto check = net.onFinishEvent(i, now);
+            if (check.done) {
+                done[i] = ns;
+                drain();
+            } else if (check.reschedule) {
+                heap.push({check.retry.ns(), seq++, finish, i});
+            }
+        }
+    }
+    EXPECT_EQ(net.activeFlows(), 0u);
+    EXPECT_EQ(net.totalLoad(), 0u);
+    return done;
+}
+
+TEST(LinkNetworkTest, MatchesTheReferenceFluidModel)
+{
+    // CounterRng-drawn flows (a sixth of them zero-byte) with random
+    // start times, under random degrade, freeze and recover changes
+    // on random link sets, over three fabrics, against the exact
+    // reference. Tolerance: LinkNetwork may finish a flow up to 4 ns
+    // late, never early. It computes in doubles, and when a finish
+    // instant is a whole ns (common: shares are 1/k of a link and
+    // byte counts are integers) the rounded quotient can land just
+    // above it and ceil to the next ns: late by design, so a finish
+    // event never fires with bytes left. A flow that finishes late
+    // holds its links that much longer, which can delay the flows
+    // sharing them in turn, never speed them up. Over 3,000 seeds per
+    // fabric the lateness never exceeded 3 ns, while a modelling error
+    // (a wrong share, a lost re-arm, a scale applied to the wrong
+    // flows) moves finishes by hundreds of ns or more.
+    std::vector<std::pair<const char *, TopologyConfig>> fabrics = {
+        {"fat tree", net::topologies::fatTree(2)},
+        {"tapered fat tree", net::topologies::taperedFatTree(2, 0.5)},
+        {"torus", net::topologies::torus2d()},
+    };
+    fabrics[2].second.torusDims = {4, 2};
+    constexpr int nodes = 8;
+    constexpr double mbps = 1000.0; // 1 B/ns
+    const double scales[] = {0.0, 0.25, 0.5, 0.75};
+    for (const auto &[name, config] : fabrics) {
+        const auto topo = net::compileTopology(config, nodes);
+        for (std::uint64_t iter = 0; iter < 1000; ++iter) {
+            CounterRng rng(0x5eed, iter);
+            std::vector<RefFlowSpec> flows(
+                static_cast<std::size_t>(
+                    rng.nextInRange(1, maxRefFlows)));
+            for (RefFlowSpec &f : flows) {
+                f.src = static_cast<int>(rng.nextBelow(nodes));
+                f.dst = (f.src + 1 +
+                         static_cast<int>(rng.nextBelow(nodes - 1))) %
+                    nodes;
+                f.bytes = rng.nextBelow(6) == 0
+                    ? 0
+                    : static_cast<Bytes>(rng.nextInRange(1, 65536));
+                f.start = rng.nextInRange(0, 100'000);
+            }
+            // Degrades and freezes on random link sets, then one
+            // recover of every link they touched.
+            std::vector<RefScaleChange> changes(
+                static_cast<std::size_t>(rng.nextInRange(0, 4)));
+            RefScaleChange recover;
+            recover.time = 150'000;
+            for (RefScaleChange &c : changes) {
+                c.time = rng.nextInRange(0, 120'000);
+                c.scale = scales[rng.nextBelow(4)];
+                for (std::uint32_t l = 0; l < topo.linkCount(); ++l) {
+                    if (rng.nextBelow(5) == 0) {
+                        c.links.push_back(l);
+                        recover.links.push_back(l);
+                    }
+                }
+            }
+            changes.push_back(recover);
+
+            const auto expected =
+                referenceFinishes(topo, flows, changes);
+            const auto actual =
+                linkNetworkFinishes(topo, mbps, flows, changes);
+            for (std::size_t i = 0; i < flows.size(); ++i) {
+                ASSERT_LT(expected[i], 1'000'000'000) << "never finished";
+                EXPECT_GE(actual[i], expected[i])
+                    << name << ", iteration " << iter << ", flow "
+                    << i;
+                EXPECT_LE(actual[i], expected[i] + 4)
+                    << name << ", iteration " << iter << ", flow "
+                    << i << " (" << flows[i].bytes << " bytes from "
+                    << flows[i].start << " ns)";
+            }
+        }
+    }
 }
 
 TEST(EngineSeamTest, FlatBusTopologyIsBitIdentical)

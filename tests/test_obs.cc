@@ -194,6 +194,80 @@ TEST(EngineStatsTest, HeapBalancesOnRollbackFreeContendedReplays)
     EXPECT_TRUE(viaSession.stats == result.stats);
 }
 
+TEST(EngineStatsTest, LinkCountersPinnedExactly)
+{
+    // The four LinkNetwork decision counters, pinned exactly on three
+    // routed replays. Values recorded on the engine that imaged the
+    // network beside the machine state, re-aimed its stats pointer
+    // after every restore and kept a rate loop of its own in
+    // rerouteDeadLinks.
+    const auto expectLinkCounters =
+        [](const obs::EngineStats &stats, std::uint64_t recomputes,
+           std::uint64_t skipped, std::uint64_t taken,
+           std::uint64_t rearm_skipped) {
+            EXPECT_EQ(stats.rateRecomputes, recomputes);
+            EXPECT_EQ(stats.recomputesSkipped, skipped);
+            EXPECT_EQ(stats.rearmsTaken, taken);
+            EXPECT_EQ(stats.rearmsSkipped, rearm_skipped);
+        };
+
+    // The contended ring of HeapBalancesOnRollbackFreeContendedReplays.
+    const auto ring = testing::traceOf(
+        4, testing::ringExchange(64 * 1024, 500'000, 4));
+    auto tapered = sim::platforms::defaultCluster();
+    tapered.topology = net::topologies::taperedFatTree(4, 0.5);
+    expectLinkCounters(sim::simulate(ring.traces, tapered).stats, 16,
+                       48, 0, 24);
+
+    // The same ring checkpointed every 1000 us, failing at 1700 us:
+    // the rollback to the image at 1010 us replays the admissions
+    // made since, so the counters end above the failure-free 16, 48,
+    // 0, 24. They are monotone across the restore, not restored.
+    auto ckpt = tapered;
+    ckpt.checkpointIntervalUs = 1000.0;
+    ckpt.checkpointCostUs = 10.0;
+    ckpt.restartCostUs = 20.0;
+    ckpt.scenario.events.push_back(nodeFail(1700.0, 1));
+    const auto rolled = sim::simulate(ring.traces, ckpt);
+    ASSERT_EQ(rolled.restarts, 1u);
+    expectLinkCounters(rolled.stats, 20, 60, 0, 30);
+
+    // A reroute fail/recover on a 4-node ring torus. Node 0 sends
+    // 256 KB to node 1 and node 3 to node 2 from 100 us. Link 0 -> 1
+    // dies at 200 us: flow 0 -> 1 detours the long way round, over
+    // the link 3 -> 2 of the other flow, and both slow down. The link
+    // recovers at 700 us, after the other flow's stale finish event
+    // re-armed it later, so both speed up and re-arm eagerly.
+    const auto pairs = testing::traceOf(4, [](vm::VmContext &ctx) {
+        constexpr Bytes bytes = 256 * 1024;
+        const auto buf = ctx.allocBuffer("payload", bytes);
+        if (ctx.rank() == 0 || ctx.rank() == 3) {
+            ctx.compute(100'000);
+            ctx.send(buf, 0, bytes, ctx.rank() == 0 ? 1 : 2, 1);
+        } else {
+            ctx.recv(buf, 0, bytes, ctx.rank() == 1 ? 0 : 3, 1);
+        }
+    });
+    net::TopologyConfig torus = net::topologies::torus2d();
+    torus.torusDims = {4};
+    auto reroute = sim::platforms::defaultCluster();
+    reroute.bandwidthMBps = 512.0;
+    reroute.topology = torus;
+    ScenarioEvent fail;
+    fail.time = SimTime::fromUs(200.0);
+    fail.kind = ScenEventKind::fail;
+    fail.target = ScenTarget::link;
+    fail.nodeA = 0;
+    fail.nodeB = 1;
+    fail.semantics = FailSemantics::reroute;
+    ScenarioEvent recover = fail;
+    recover.time = SimTime::fromUs(700.0);
+    recover.kind = ScenEventKind::recover;
+    reroute.scenario.events = {fail, recover};
+    expectLinkCounters(sim::simulate(pairs.traces, reroute).stats, 7,
+                       5, 2, 7);
+}
+
 TEST(EngineStatsTest, RollbackChargesReworkAndKeepsPushesAhead)
 {
     // The closed-form restart pin of test_res: I = 60, C = 5,

@@ -793,6 +793,75 @@ TEST(EngineScenTest, NetStallRoundTripLosesNoBytes)
         nominal.totalTime.ns() + 100'000);
 }
 
+/**
+ * Zero-byte messages through every cost path. They serialize for no
+ * time, so a send/recv costs exactly one flight latency L and a
+ * 4-rank algorithmic allreduce (recursive doubling: two rounds of
+ * one message per rank) exactly 2L. A degrade scales the latency
+ * (x2 here) and a stall, which only stops payload progress, leaves
+ * them alone. The fat tree puts all four nodes on one radix-4 leaf
+ * with zero hop latency, so its flight is the flat L.
+ */
+TEST(EngineScenTest, ZeroByteMessagesCostLatencyOnly)
+{
+    trace::TraceSet p2p("zero-p2p", 2);
+    p2p.rankTrace(0).append(trace::SendRec{1, 1, 0, 1});
+    p2p.rankTrace(1).append(trace::RecvRec{0, 1, 0, 1});
+    trace::TraceSet allreduce("zero-allreduce", 4);
+    for (Rank r = 0; r < 4; ++r) {
+        allreduce.rankTrace(r).append(
+            trace::CollectiveRec{trace::CollOp::allReduce, 0, 0, 0});
+    }
+
+    constexpr std::int64_t L = 8'000; // defaultCluster latency, ns
+    auto flat = testing::platformAt(1000.0);
+    flat.collectiveModel = coll::CollectiveModel::algorithmic;
+    auto tree = flat;
+    tree.topology = net::topologies::fatTree(4);
+    const std::vector<ScenarioEvent> degrade = {
+        degradeAll(0.0, 0.5, 2.0), recoverAll(1000.0)};
+    const std::vector<ScenarioEvent> stall = {
+        failEvent(0.0, ScenTarget::all, -1, -1,
+                  FailSemantics::stall),
+        recoverAll(1000.0)};
+
+    struct Case
+    {
+        const char *name;
+        sim::PlatformConfig platform;
+        std::int64_t p2p;
+        std::int64_t allreduce;
+    };
+    std::vector<Case> cases = {
+        {"flat bus", flat, L, 2 * L},
+        {"flat bus, degrade", flat, 2 * L, 4 * L},
+        {"flat bus, stall", flat, L, 2 * L},
+        {"fat tree", tree, L, 2 * L},
+        {"fat tree, degrade", tree, 2 * L, 4 * L},
+        // Checkpoints every 6 us cost 1 us each and freeze the
+        // machine with the flight in the air: the send/recv pays
+        // the one at 6 us, the allreduce also the one at 13 us
+        // (6 + 1 + 6), which lands inside its second round.
+        {"fat tree, checkpointed", tree, L + 1'000,
+         2 * L + 2'000},
+    };
+    cases[1].platform.scenario.events = degrade;
+    cases[2].platform.scenario.events = stall;
+    cases[4].platform.scenario.events = degrade;
+    cases[5].platform.checkpointIntervalUs = 6.0;
+    cases[5].platform.checkpointCostUs = 1.0;
+    cases[5].platform.restartCostUs = 1.0;
+
+    for (const Case &c : cases) {
+        EXPECT_EQ(sim::simulate(p2p, c.platform).totalTime.ns(),
+                  c.p2p)
+            << c.name << ": send/recv";
+        EXPECT_EQ(sim::simulate(allreduce, c.platform).totalTime.ns(),
+                  c.allreduce)
+            << c.name << ": allreduce";
+    }
+}
+
 TEST(EngineScenTest, FailStopReportsEveryUnfinishedRank)
 {
     const auto bundle = testing::traceOf(
