@@ -18,9 +18,20 @@
 # variance than any single run — single samples on this container
 # swing +/-15%, which no 10% gate survives.
 #
+# Best-of-N against a baseline cannot tell a code change from a change
+# of host state, so --ab REF compares against a git revision on the
+# same host instead. It builds REF in a temporary `git worktree` and
+# runs the two bench_micro binaries interleaved OVLSIM_BENCH_RUNS
+# times, alternating which one runs first. For each gated key it
+# prints the median change/REF ratio over the pairs, how many pairs
+# the change won, and the spread of REF's own runs (interquartile
+# range over median): a ratio inside that spread is host noise. It
+# reports and gates nothing; the absolute gate above is unchanged.
+#
 # Usage:
 #   scripts/bench_check.sh           # check against the baseline
 #   scripts/bench_check.sh --update  # refresh the baseline instead
+#   scripts/bench_check.sh --ab REF  # interleaved A/B against REF
 #
 # Environment:
 #   OVLSIM_BENCH_THRESHOLD  allowed fractional regression (default 0.10)
@@ -54,25 +65,63 @@ GATES=("events_per_sec|M1 events/sec"
        "variant_events_per_sec|M10 variant events/sec")
 GATED_KEYS=("${GATES[@]%%|*}")
 UPDATE=0
-if [[ "${1:-}" == "--update" ]]; then
-    UPDATE=1
-fi
+AB_REF=""
+case "${1:-}" in
+  --update) UPDATE=1 ;;
+  --ab)
+    AB_REF="${2:?usage: scripts/bench_check.sh --ab REF}"
+    git rev-parse --verify --quiet "$AB_REF^{commit}" >/dev/null || {
+        echo "bench_check: --ab: unknown revision $AB_REF" >&2
+        exit 2
+    } ;;
+esac
 
-cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release \
-      -DOVLSIM_BUILD_TESTS=OFF -DOVLSIM_BUILD_EXAMPLES=OFF \
-      >/dev/null
-cmake --build "$BUILD_DIR" --target bench_micro -j "$(nproc)" \
-      >/dev/null
+build_bench() { # source-dir build-dir
+    cmake -B "$2" -S "$1" -DCMAKE_BUILD_TYPE=Release \
+          -DOVLSIM_BUILD_TESTS=OFF -DOVLSIM_BUILD_EXAMPLES=OFF \
+          >/dev/null
+    cmake --build "$2" --target bench_micro -j "$(nproc)" >/dev/null
+}
+
+build_bench . "$BUILD_DIR"
 
 RESULT_JSONS=()
+REF_JSONS=()
 for ((run = 0; run < RUNS; ++run)); do
     RESULT_JSONS+=("$(mktemp)")
+    REF_JSONS+=("$(mktemp)")
 done
-trap 'rm -f "${RESULT_JSONS[@]}"' EXIT
+REF_DIR=""
+cleanup() {
+    rm -f "${RESULT_JSONS[@]}" "${REF_JSONS[@]}"
+    if [[ -n "$REF_DIR" ]]; then
+        git worktree remove --force "$REF_DIR/src" 2>/dev/null || true
+        rm -rf "$REF_DIR"
+        git worktree prune
+    fi
+}
+trap cleanup EXIT
+
+measure() { # build-dir json
+    "$1/bench_micro" --json="$2" --threads="$THREADS"
+}
+
+if [[ -n "$AB_REF" ]]; then
+    REF_DIR="$(mktemp -d)"
+    git worktree add --detach --quiet "$REF_DIR/src" "$AB_REF"
+    build_bench "$REF_DIR/src" "$REF_DIR/build"
+fi
 for ((run = 0; run < RUNS; ++run)); do
     echo "bench_check: measurement run $((run + 1))/$RUNS"
-    "$BUILD_DIR/bench_micro" --json="${RESULT_JSONS[$run]}" \
-                             --threads="$THREADS"
+    if [[ -z "$AB_REF" ]]; then
+        measure "$BUILD_DIR" "${RESULT_JSONS[$run]}"
+    elif ((run % 2 == 0)); then
+        measure "$REF_DIR/build" "${REF_JSONS[$run]}"
+        measure "$BUILD_DIR" "${RESULT_JSONS[$run]}"
+    else
+        measure "$BUILD_DIR" "${RESULT_JSONS[$run]}"
+        measure "$REF_DIR/build" "${REF_JSONS[$run]}"
+    fi
 done
 
 # Last occurrence of a numeric key in a trajectory file (the most
@@ -123,6 +172,61 @@ require_keys() { # file what
 for file in "${RESULT_JSONS[@]}"; do
     require_keys "$file" "bench output"
 done
+
+if [[ -n "$AB_REF" ]]; then
+    for file in "${REF_JSONS[@]}"; do
+        require_keys "$file" "bench output of $AB_REF"
+    done
+    # Per gated key: the median of the per-pair change/REF ratios,
+    # the pairs the change won (gated keys are all higher-is-better)
+    # and REF's interquartile range over its median.
+    printf 'bench_check: %-26s %12s %8s %14s\n' \
+           metric "ratio(med)" wins "$AB_REF IQR/med"
+    for gate in "${GATES[@]}"; do
+        key="${gate%%|*}"
+        cur=""
+        ref=""
+        for ((run = 0; run < RUNS; ++run)); do
+            cur+=" $(extract_key "${RESULT_JSONS[$run]}" "$key")"
+            ref+=" $(extract_key "${REF_JSONS[$run]}" "$key")"
+        done
+        awk -v label="${gate#*|}" -v cur="$cur" -v ref="$ref" '
+        function sort(a, n,    i, j, t) {
+            for (i = 2; i <= n; ++i)
+                for (j = i; j > 1 && a[j - 1] > a[j]; --j) {
+                    t = a[j]; a[j] = a[j - 1]; a[j - 1] = t
+                }
+        }
+        # Quantile q of sorted a[1..n], linear interpolation.
+        function quantile(a, n, q,    h, lo) {
+            h = (n - 1) * q + 1
+            lo = int(h)
+            if (lo >= n)
+                return a[n]
+            return a[lo] + (h - lo) * (a[lo + 1] - a[lo])
+        }
+        BEGIN {
+            n = split(cur, c, " ")
+            split(ref, r, " ")
+            wins = 0
+            for (i = 1; i <= n; ++i) {
+                ratio[i] = c[i] / r[i]
+                if (c[i] > r[i])
+                    ++wins
+            }
+            sort(ratio, n)
+            sort(r, n)
+            med = quantile(r, n, 0.5)
+            iqr = quantile(r, n, 0.75) - quantile(r, n, 0.25)
+            printf "bench_check: %-26s %12.3f %5d/%-2d %13.1f%%\n",
+                   label, quantile(ratio, n, 0.5), wins, n,
+                   iqr / med * 100
+        }'
+    done
+    echo "bench_check: A/B of $RUNS interleaved pairs against $AB_REF" \
+         "(no gate applied)"
+    exit 0
+fi
 
 if [[ "$UPDATE" == 1 || ! -f "$BASELINE" ]]; then
     # The baseline file is the last run's output with every gated

@@ -28,6 +28,7 @@ LinkNetwork::configure(const CompiledTopology *topo,
     ovlAssert(topo != nullptr, "LinkNetwork: null topology");
     ovlAssert(base_mbps > 0.0,
               "LinkNetwork: base bandwidth must be positive");
+    clear();
     topo_ = topo;
     const std::size_t links = topo->linkCount();
     linkRate_.resize(links);
@@ -40,11 +41,23 @@ LinkNetwork::configure(const CompiledTopology *topo,
         linkRate_[l] = linkBase_[l];
     }
     linkScale_.assign(links, 1.0);
+    linkLoad_.assign(links, 0);
+    linkTouch_.assign(links, 0);
+}
+
+void
+LinkNetwork::clear()
+{
+    topo_ = nullptr;
+    linkRate_.clear();
+    linkLoad_.clear();
+    linkBase_.clear();
+    linkScale_.clear();
+    linkLat_.clear();
     scaleDirty_.clear();
     overrideIdx_.clear();
     overrideRoutes_.clear();
-    linkLoad_.assign(links, 0);
-    linkTouch_.assign(links, 0);
+    linkTouch_.clear();
     touchEpoch_ = 0;
     flows_.clear();
     reschedules_.clear();
@@ -102,35 +115,32 @@ LinkNetwork::advanceAll(SimTime now)
 }
 
 void
-LinkNetwork::rebalanceTouched(SimTime now)
+LinkNetwork::rebalanceTouched(SimTime now, obs::EngineStats &stats)
 {
+    // Every flow is one re-arm decision: taken here, skipped
+    // otherwise (untouched, same rate, or a pending event already
+    // covers the new finish).
+    std::uint64_t recomputes = 0;
+    std::uint64_t taken = 0;
     for (Flow &flow : flows_) {
-        if (!touches(flow)) {
-            if (stats_) {
-                ++stats_->recomputesSkipped;
-                ++stats_->rearmsSkipped;
-            }
+        if (!touches(flow))
             continue;
-        }
-        if (stats_)
-            ++stats_->rateRecomputes;
+        ++recomputes;
         const double rate = bottleneckRate(flow);
-        if (rate == flow.rate) {
-            if (stats_)
-                ++stats_->rearmsSkipped;
+        if (rate == flow.rate)
             continue;
-        }
         flow.rate = rate;
         const SimTime finish = finishTime(flow, now);
         if (finish < flow.armed) {
             flow.armed = finish;
             reschedules_.emplace_back(flow.id, finish);
-            if (stats_)
-                ++stats_->rearmsTaken;
-        } else if (stats_) {
-            ++stats_->rearmsSkipped;
+            ++taken;
         }
     }
+    stats.rateRecomputes += recomputes;
+    stats.recomputesSkipped += flows_.size() - recomputes;
+    stats.rearmsTaken += taken;
+    stats.rearmsSkipped += flows_.size() - taken;
 }
 
 SimTime
@@ -146,7 +156,7 @@ LinkNetwork::finishTime(const Flow &flow, SimTime now)
 
 SimTime
 LinkNetwork::start(std::uint32_t id, int src, int dst, Bytes bytes,
-                   SimTime now)
+                   SimTime now, obs::EngineStats &stats)
 {
     ovlAssert(topo_ != nullptr, "LinkNetwork: not configured");
     ovlAssert(src != dst,
@@ -173,22 +183,23 @@ LinkNetwork::start(std::uint32_t id, int src, int dst, Bytes bytes,
     // Flows whose routes miss every link the admission loaded keep
     // their bottleneck share unchanged, so their rate is not even
     // recomputed.
+    std::uint64_t recomputes = 0;
     for (Flow &f : flows_) {
         if (touches(f)) {
             f.rate = bottleneckRate(f);
-            if (stats_)
-                ++stats_->rateRecomputes;
-        } else if (stats_) {
-            ++stats_->recomputesSkipped;
+            ++recomputes;
         }
     }
+    stats.rateRecomputes += recomputes;
+    stats.recomputesSkipped += flows_.size() - recomputes;
     Flow &admitted = flows_.back();
     admitted.armed = finishTime(admitted, now);
     return admitted.armed;
 }
 
 LinkNetwork::FinishCheck
-LinkNetwork::onFinishEvent(std::uint32_t id, SimTime now)
+LinkNetwork::onFinishEvent(std::uint32_t id, SimTime now,
+                           obs::EngineStats &stats)
 {
     std::size_t slot = flows_.size();
     for (std::size_t i = 0; i < flows_.size(); ++i) {
@@ -246,7 +257,7 @@ LinkNetwork::onFinishEvent(std::uint32_t id, SimTime now)
         --linkLoad_[link];
     }
     markTouched(done.src, done.dst);
-    rebalanceTouched(now);
+    rebalanceTouched(now, stats);
     FinishCheck check;
     check.done = true;
     check.retry = now;
@@ -261,33 +272,6 @@ LinkNetwork::shiftFlowClocks(SimTime delta)
         if (flow.armed != SimTime::max())
             flow.armed = flow.armed + delta;
     }
-}
-
-void
-LinkNetwork::cancel(std::uint32_t id, SimTime now)
-{
-    std::size_t slot = flows_.size();
-    for (std::size_t i = 0; i < flows_.size(); ++i) {
-        if (flows_[i].id == id) {
-            slot = i;
-            break;
-        }
-    }
-    ovlAssert(slot < flows_.size(),
-              "LinkNetwork: cancel for unknown flow");
-    // Identical bookkeeping to a completion, minus the "bytes hit
-    // zero" part: settle everyone under the old rates, free the
-    // aborted flow's links, redistribute the shares.
-    const Flow dead = flows_[slot];
-    advanceAll(now);
-    flows_.erase(flows_.begin() + static_cast<std::ptrdiff_t>(slot));
-    for (const std::uint32_t link : routeOf(dead.src, dead.dst)) {
-        ovlAssert(linkLoad_[link] > 0,
-                  "LinkNetwork: link occupancy underflow");
-        --linkLoad_[link];
-    }
-    markTouched(dead.src, dead.dst);
-    rebalanceTouched(now);
 }
 
 void
@@ -306,6 +290,8 @@ LinkNetwork::cancelAll(SimTime now)
     }
     flows_.clear();
     reschedules_.clear();
+    ovlAssert(totalLoad() == 0,
+              "cancelled in-flight flows left link occupancy behind");
 }
 
 std::uint64_t
@@ -318,19 +304,24 @@ LinkNetwork::totalLoad() const
 }
 
 void
-LinkNetwork::setLinkScale(std::uint32_t link, double scale)
+LinkNetwork::setLinkScale(std::uint32_t link, double bandwidth,
+                          double latency)
 {
-    ovlAssert(scale >= 0.0,
+    ovlAssert(bandwidth >= 0.0,
               "LinkNetwork: link scale must be non-negative");
-    if (linkScale_[link] == scale)
+    if (latency != 1.0 && linkLat_.empty())
+        linkLat_.assign(linkScale_.size(), 1.0);
+    if (!linkLat_.empty())
+        linkLat_[link] = latency;
+    if (linkScale_[link] == bandwidth)
         return;
-    linkScale_[link] = scale;
-    linkRate_[link] = linkBase_[link] * scale;
+    linkScale_[link] = bandwidth;
+    linkRate_[link] = linkBase_[link] * bandwidth;
     scaleDirty_.push_back(link);
 }
 
 void
-LinkNetwork::applyScales(SimTime now)
+LinkNetwork::applyScales(SimTime now, obs::EngineStats &stats)
 {
     if (scaleDirty_.empty())
         return;
@@ -341,11 +332,11 @@ LinkNetwork::applyScales(SimTime now)
     scaleDirty_.clear();
     // Speedups (including unfreezes, whose armed is "never")
     // re-arm eagerly; slowdowns wait for their stale event.
-    rebalanceTouched(now);
+    rebalanceTouched(now, stats);
 }
 
 LinkNetwork::RerouteReport
-LinkNetwork::rerouteDeadLinks(SimTime now)
+LinkNetwork::rerouteDeadLinks(SimTime now, obs::EngineStats &stats)
 {
     ovlAssert(topo_ != nullptr, "LinkNetwork: not configured");
     advanceAll(now);
@@ -453,28 +444,11 @@ LinkNetwork::rerouteDeadLinks(SimTime now)
         for (const std::uint32_t l : fresh)
             ++linkLoad_[l];
     }
-    for (Flow &flow : flows_) {
-        // Occupancies may have moved anywhere: every rate is
-        // recomputed, nothing can be proven untouched.
-        if (stats_)
-            ++stats_->rateRecomputes;
-        const double rate = bottleneckRate(flow);
-        if (rate == flow.rate) {
-            if (stats_)
-                ++stats_->rearmsSkipped;
-            continue;
-        }
-        flow.rate = rate;
-        const SimTime finish = finishTime(flow, now);
-        if (finish < flow.armed) {
-            flow.armed = finish;
-            reschedules_.emplace_back(flow.id, finish);
-            if (stats_)
-                ++stats_->rearmsTaken;
-        } else if (stats_) {
-            ++stats_->rearmsSkipped;
-        }
-    }
+    // Occupancies may have moved anywhere: touch every link, so
+    // every rate is recomputed and nothing is proven untouched.
+    ++touchEpoch_;
+    std::fill(linkTouch_.begin(), linkTouch_.end(), touchEpoch_);
+    rebalanceTouched(now, stats);
     return RerouteReport{};
 }
 

@@ -11,7 +11,8 @@
  * models.
  *
  * The driver (sim/engine.cc) owns the event heap; LinkNetwork owns
- * bytes-remaining accounting and rate assignment:
+ * bytes-remaining accounting, rate assignment, the scenario scales
+ * of its links and the flight time of a finished transfer:
  *
  *  - start() admits a flow and returns the finish time to schedule,
  *  - onFinishEvent() is called when a scheduled finish event fires;
@@ -19,7 +20,18 @@
  *    the survivors' rates) or reports the corrected finish time to
  *    reschedule — flows slow down lazily (the stale early event
  *    re-arms itself) and speed up eagerly (completions emit
- *    reschedules via pendingReschedules()).
+ *    reschedules via pendingReschedules()),
+ *  - setLinkScale()/applyScales() and rerouteDeadLinks() apply
+ *    scenario degrades, failures and recoveries,
+ *  - flightTime() prices the flight of a finished transfer over its
+ *    effective route.
+ *
+ * LinkNetwork is a plain value: the engine keeps it in its machine
+ * state, so a checkpoint copies it whole and a rollback copies it
+ * back. It therefore holds no pointer into the engine except the
+ * compiled topology, a cache that outlives every image. The
+ * observability counters it feeds are passed in by reference on
+ * each call, so they stay monotone across rollbacks.
  *
  * Scheduling stays deterministic: flows are iterated in admission
  * order, all arithmetic is event-ordered double precision, and equal
@@ -29,6 +41,8 @@
 #ifndef OVLSIM_NET_NETWORK_HH
 #define OVLSIM_NET_NETWORK_HH
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <span>
 #include <utility>
@@ -53,15 +67,11 @@ class LinkNetwork
     void configure(const CompiledTopology *topo, double base_mbps);
 
     /**
-     * Aim the network's observability counters (rate recomputes
-     * taken vs skipped, finish re-arms) at the owner's stats block.
-     * Non-owning; null (the default) disables counting. The driver
-     * re-installs the pointer after every snapshot restore — this
-     * object is copied whole into checkpoint images, and the
-     * counters must stay monotone across rollbacks rather than
-     * follow the machine state back.
+     * Drop the topology, every flow, scale and reroute; keeps
+     * allocations. A replay on the flat bus leaves the network
+     * cleared, so its checkpoint images copy nothing of it.
      */
-    void setStats(obs::EngineStats *stats) { stats_ = stats; }
+    void clear();
 
     /**
      * Admit flow `id` from `src` to `dst` nodes at `now` and return
@@ -71,9 +81,11 @@ class LinkNetwork
      * when the route is currently frozen (a scenario stalled or
      * failed one of its links): the flow is admitted but makes no
      * progress, and a later applyScales() recovery reschedules it.
+     * Every call that moves rates counts its rate recomputes and
+     * re-arm decisions in `stats`.
      */
     SimTime start(std::uint32_t id, int src, int dst, Bytes bytes,
-                  SimTime now);
+                  SimTime now, obs::EngineStats &stats);
 
     struct FinishCheck
     {
@@ -94,7 +106,8 @@ class LinkNetwork
      * their rates; flows that sped up appear in
      * pendingReschedules() for the driver to re-arm.
      */
-    FinishCheck onFinishEvent(std::uint32_t id, SimTime now);
+    FinishCheck onFinishEvent(std::uint32_t id, SimTime now,
+                              obs::EngineStats &stats);
 
     /**
      * (flow id, earlier finish time) pairs produced by the last
@@ -131,18 +144,14 @@ class LinkNetwork
 
     /**
      * Scenario seam: scale a link's capacity relative to its
-     * configured rate. 1.0 restores the compiled capacity, values
-     * in (0, 1) degrade it, 0 kills the link (flows crossing it
-     * freeze at rate 0). Takes effect at the next applyScales().
+     * configured rate and its flight latency. A bandwidth of 1.0
+     * restores the compiled capacity, values in (0, 1) degrade it,
+     * 0 kills the link (flows crossing it freeze at rate 0); the
+     * capacity takes effect at the next applyScales(). The latency
+     * multiplier applies to flights priced from now on.
      */
-    void setLinkScale(std::uint32_t link, double scale);
-
-    /** Current scenario scale of a link (1.0 when undisturbed). */
-    double
-    linkScale(std::uint32_t link) const
-    {
-        return linkScale_[link];
-    }
+    void setLinkScale(std::uint32_t link, double bandwidth,
+                      double latency = 1.0);
 
     /**
      * Commit pending setLinkScale() changes at `now`: settle every
@@ -153,7 +162,7 @@ class LinkNetwork
      * flows unfreezing after a recovery — appear in
      * pendingReschedules() for the driver.
      */
-    void applyScales(SimTime now);
+    void applyScales(SimTime now, obs::EngineStats &stats);
 
     /**
      * Effective route of a (src, dst) pair: the scenario reroute
@@ -171,6 +180,32 @@ class LinkNetwork
     }
 
     /**
+     * Flight latency of a message that finished serializing from
+     * `src` to `dst`: `base` plus `per_hop` for every link of its
+     * effective route past the first, the whole flight scaled by the
+     * largest latency multiplier on that route. Until a scenario
+     * sets a multiplier other than 1 the route is not walked for it.
+     */
+    SimTime
+    flightTime(int src, int dst, SimTime base, SimTime per_hop) const
+    {
+        const auto route = routeOf(src, dst);
+        SimTime flight = base;
+        if (route.size() > 1)
+            flight += per_hop *
+                static_cast<std::int64_t>(route.size() - 1);
+        if (linkLat_.empty())
+            return flight;
+        double scale = 1.0;
+        for (const std::uint32_t link : route)
+            scale = std::max(scale, linkLat_[link]);
+        if (scale == 1.0)
+            return flight;
+        return SimTime::fromNs(static_cast<std::int64_t>(std::llround(
+            static_cast<double>(flight.ns()) * scale)));
+    }
+
+    /**
      * Resilience seam: slide every in-flight flow's clock forward
      * by `delta` without progressing any bytes. The checkpoint
      * freeze stops simulated time for the whole machine while the
@@ -181,17 +216,11 @@ class LinkNetwork
     void shiftFlowClocks(SimTime delta);
 
     /**
-     * Resilience seam: abort in-flight flow `id` at `now` without
-     * completing it (a fail-stop rollback cancels the transfer).
-     * Frees the flow's links exactly like a completion — so
-     * totalLoad() drops by the effective route length and the
-     * occupancy invariant is conserved — then recomputes the
-     * survivors' rates; speedups appear in pendingReschedules().
+     * Cancel every in-flight flow (rollback of a whole replay
+     * region), freeing each flow's links exactly like a completion.
+     * Asserts the occupancy invariant: afterwards activeFlows() and
+     * totalLoad() are 0.
      */
-    void cancel(std::uint32_t id, SimTime now);
-
-    /** Cancel every in-flight flow (rollback of a whole replay
-     * region). Afterwards activeFlows() and totalLoad() are 0. */
     void cancelAll(SimTime now);
 
     /** First unroutable pair when rerouteDeadLinks() fails. */
@@ -215,7 +244,8 @@ class LinkNetwork
      * surviving path (the topology has no diversity there); the
      * caller decides how fatal that is.
      */
-    RerouteReport rerouteDeadLinks(SimTime now);
+    RerouteReport rerouteDeadLinks(SimTime now,
+                                   obs::EngineStats &stats);
 
   private:
     struct Flow
@@ -245,11 +275,11 @@ class LinkNetwork
      * Recompute the rate of every flow crossing a link of the
      * current touch epoch and re-arm eagerly the ones that sped up
      * (emitting reschedules); untouched flows are provably
-     * unaffected and skipped. Shared tail of completion, cancel
-     * and applyScales — the decision counts feed the skip/take
-     * observability counters.
+     * unaffected and skipped. Shared tail of completion,
+     * applyScales and rerouteDeadLinks (which touches every link) —
+     * the decision counts feed the skip/take counters of `stats`.
      */
-    void rebalanceTouched(SimTime now);
+    void rebalanceTouched(SimTime now, obs::EngineStats &stats);
 
     /** Progress every flow to `now` at its current rate. */
     void advanceAll(SimTime now);
@@ -288,6 +318,9 @@ class LinkNetwork
     std::vector<double> linkBase_;
     /** Scenario capacity scale per link (1.0 = undisturbed). */
     std::vector<double> linkScale_;
+    /** Scenario latency multiplier per link; empty until a scenario
+     * sets one other than 1.0. */
+    std::vector<double> linkLat_;
     /** Links changed since the last applyScales(). */
     std::vector<std::uint32_t> scaleDirty_;
     /** Reroute overrides: per (src, dst) row, -1 or an index into
@@ -300,8 +333,6 @@ class LinkNetwork
     /** In-flight flows, admission-ordered. */
     std::vector<Flow> flows_;
     std::vector<std::pair<std::uint32_t, SimTime>> reschedules_;
-    /** Observability sink (see setStats); null = disabled. */
-    obs::EngineStats *stats_ = nullptr;
 };
 
 } // namespace ovlsim::net

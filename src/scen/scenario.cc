@@ -483,11 +483,11 @@ effectiveWindow(const CompiledScenario &scenario,
 
 } // namespace
 
-FlatScale
+Scale
 flatScaleAt(const CompiledScenario &scenario, const ScenCursor &cursor,
             int src, int dst, SimTime begin)
 {
-    FlatScale scale;
+    Scale scale;
     for (std::size_t i = 0; i < scenario.eventCount(); ++i) {
         const ScenarioEvent &ev = scenario.event(i);
         if (ev.kind != ScenEventKind::degrade ||
@@ -497,6 +497,25 @@ flatScaleAt(const CompiledScenario &scenario, const ScenCursor &cursor,
         if (w.start <= begin && begin < w.end) {
             scale.bandwidth *= ev.bandwidthFactor;
             scale.latency *= ev.latencyFactor;
+        }
+    }
+    return scale;
+}
+
+Scale
+linkScaleAt(const CompiledScenario &scenario, const ScenCursor &cursor,
+            std::uint32_t link)
+{
+    Scale scale;
+    for (std::size_t i = 0; i < scenario.eventCount(); ++i) {
+        if (!cursor.active[i] || !scenario.linkSetContains(i, link))
+            continue;
+        const ScenarioEvent &ev = scenario.event(i);
+        if (ev.kind == ScenEventKind::degrade) {
+            scale.bandwidth *= ev.bandwidthFactor;
+            scale.latency *= ev.latencyFactor;
+        } else {
+            scale.bandwidth = 0.0;
         }
     }
     return scale;

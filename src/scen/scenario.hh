@@ -38,8 +38,9 @@
  * same compile-once philosophy as sim/program.hh and
  * net::compileTopology. The engine merges the stream into its event
  * heap behind a seam next to netMode_ and applies it to both cost
- * paths: LinkNetwork capacities, and the flat-bus pricing defined
- * here as pure functions of the stream and a ScenCursor.
+ * paths as pure functions of the stream and a ScenCursor defined
+ * here: the link scales LinkNetwork applies, and the flat-bus
+ * pricing.
  */
 
 #ifndef OVLSIM_SCEN_SCENARIO_HH
@@ -282,8 +283,8 @@ struct ScenCursor
     SimTime shift;
 };
 
-/** Bandwidth and latency multipliers of a flat-bus transfer. */
-struct FlatScale
+/** Bandwidth and latency multipliers of a transfer or a link. */
+struct Scale
 {
     double bandwidth = 1.0;
     double latency = 1.0;
@@ -296,9 +297,20 @@ struct FlatScale
  * sampled once: a degrade that begins or recovers mid-serialization
  * does not change it (the link network re-prices flows mid-flight).
  */
-FlatScale flatScaleAt(const CompiledScenario &scenario,
-                      const ScenCursor &cursor, int src, int dst,
-                      SimTime begin);
+Scale flatScaleAt(const CompiledScenario &scenario,
+                  const ScenCursor &cursor, int src, int dst,
+                  SimTime begin);
+
+/**
+ * Link-network scale of one link, the twin of flatScaleAt: the link
+ * network applies events when they fire, so the live events are the
+ * cursor's active flags. Multiplies the factors of every active
+ * degrade whose link set holds `link`, in stream order; any other
+ * active event holding it (a stall or reroute failure) pins the
+ * bandwidth to 0.
+ */
+Scale linkScaleAt(const CompiledScenario &scenario,
+                  const ScenCursor &cursor, std::uint32_t link);
 
 /**
  * Extend a flat-bus serialization [begin, finish) across the

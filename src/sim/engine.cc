@@ -273,15 +273,14 @@ struct CollExec
 /**
  * Everything a checkpoint images and a rollback restores: the
  * pending events, the ranks, every transfer and matching queue, the
- * collective barriers and schedule executions, the flat bus and the
- * scenario cursor. It is one value, so a snapshot is one copy and a
- * restore is one copy back, and a field added here is covered by
- * both. What stays in Engine is per-run configuration, pure caches
- * (memoized conversions, compiled routes and schedules) or state
- * that must survive rollbacks: the stats, the processed-event
- * count, the timeline (rollbacks splice it instead) and the
- * consumed-failure marks. The link network is imaged beside this
- * value because it keeps its own cancel/restore protocol.
+ * collective barriers and schedule executions, both fabrics (the
+ * flat bus and the link network) and the scenario cursor. It is one
+ * value, so a snapshot is one copy and a restore is one copy back,
+ * and a field added here is covered by both. What stays in Engine is
+ * per-run configuration, pure caches (memoized conversions, compiled
+ * routes and schedules) or state that must survive rollbacks: the
+ * stats, the processed-event count, the timeline (rollbacks splice
+ * it instead) and the consumed-failure marks.
  */
 struct MachineState
 {
@@ -304,15 +303,14 @@ struct MachineState
 
     /** Flat-bus admission; empty on the link network. */
     FlatBus bus;
+    /** Link contention, scales and reroutes; empty on the flat bus. */
+    net::LinkNetwork net;
 
     int doneRanks = 0;
 
     /** Scenario cursor: which events fired, which are live, and the
      * shift that places pending ones in effective time. */
     scen::ScenCursor scen;
-    /** Per-link latency multipliers the capacity-only LinkNetwork
-     * cannot carry (link network only). */
-    std::vector<double> linkLatScale;
 
     /**
      * Pooled algorithmic-collective executions. Acquire
@@ -348,11 +346,11 @@ MachineState::clear(std::size_t nranks)
     channels.clear();
     barriers.clear();
     bus.clear();
+    net.clear();
     doneRanks = 0;
     scen.active.clear();
     scen.nextIdx = 0;
     scen.shift = SimTime::zero();
-    linkLatScale.clear();
     // Every pooled CollExec is free at the start of a run (a
     // previous run that threw may have left some marked busy).
     collExecFree.clear();
@@ -420,7 +418,8 @@ class Engine
 
     /** Scenario seam (see handleScenarioEvent). */
     void handleScenarioEvent(std::uint32_t i, SimTime t);
-    void applyScenLinkScales(std::size_t i);
+    void applyNetScenario(std::uint32_t i, SimTime t);
+    bool netFlowDone(std::uint32_t flow, SimTime t);
     void drainNetReschedules();
     void scheduleNetFinish(std::uint32_t flow, SimTime t);
     void startBackgroundFlow(std::uint32_t i, SimTime t);
@@ -536,7 +535,6 @@ class Engine
     net::CompiledTopology topo_;
     net::TopologyConfig topoKey_;
     int topoNodes_ = -1;
-    net::LinkNetwork network_;
     SimTime hopLatency_;
 
     /**
@@ -562,14 +560,13 @@ class Engine
     /**
      * Machine image captured between two events at the last
      * checkpoint (and once at t = 0 before the event loop, so a
-     * failure before the first checkpoint restarts from scratch):
-     * the machine state plus, on the link network, the network.
+     * failure before the first checkpoint restarts from scratch),
+     * anchored at the instant it is consistent and restartable.
      */
     struct Snapshot
     {
         SimTime anchor;
         MachineState state;
-        net::LinkNetwork network;
     };
 
     /** One coordinated-checkpoint chain and its last image. */
@@ -759,8 +756,7 @@ Engine::run(const ReplayProgram &program,
             platform_.topology.linkBandwidthMBps > 0.0
                 ? platform_.topology.linkBandwidthMBps
                 : platform_.bandwidthMBps;
-        network_.configure(&topo_, base_mbps);
-        network_.setStats(&stats_);
+        m_.net.configure(&topo_, base_mbps);
         hopLatency_ =
             SimTime::fromUs(platform_.topology.hopLatencyUs);
     }
@@ -774,8 +770,6 @@ Engine::run(const ReplayProgram &program,
             nodes);
         m_.scen.active.assign(scenario_.eventCount(), 0);
         scenConsumed_.assign(scenario_.eventCount(), 0);
-        if (netMode_)
-            m_.linkLatScale.assign(topo_.linkCount(), 1.0);
     } else {
         scenario_ = {};
     }
@@ -1355,10 +1349,10 @@ Engine::startTransfer(std::uint32_t idx, SimTime t)
         // contention model owns (and may move as flows come and
         // go). Arrival is scheduled at injection completion.
         transfer.set(tfInNet);
-        const SimTime finish = network_.start(
+        const SimTime finish = m_.net.start(
             idx, static_cast<int>(nodeOf(transfer.src)),
             static_cast<int>(nodeOf(transfer.dst)),
-            transfer.bytes, begin);
+            transfer.bytes, begin, stats_);
         // A frozen route (a scenario stalled or failed one of its
         // links) admits the flow but makes no progress; the
         // recovery's applyScales reschedules it.
@@ -1448,45 +1442,16 @@ Engine::handleNetInjected(std::uint32_t idx, SimTime t)
 {
     Transfer &transfer = m_.transfers[idx];
     if (!transfer.has(tfLocal)) {
-        if (!transfer.has(tfInNet))
-            return; // stale event after completion
-        const auto check = network_.onFinishEvent(idx, t);
-        if (!check.done) {
-            if (check.reschedule) {
-                schedule(check.retry,
-                         EventKind::transferInjected, idx);
-            }
+        // A stale event after completion, or an early one.
+        if (!transfer.has(tfInNet) || !netFlowDone(idx, t))
             return;
-        }
         transfer.clear(tfInNet);
-        drainNetReschedules();
-
-        // The effective route: a scenario reroute may have moved
-        // the pair off its compiled path, changing the hop count.
-        const auto route = network_.routeOf(
-            static_cast<int>(nodeOf(transfer.src)),
-            static_cast<int>(nodeOf(transfer.dst)));
-        SimTime flight = latencyRemote_;
-        if (route.size() > 1) {
-            flight += hopLatency_ *
-                static_cast<std::int64_t>(route.size() - 1);
-        }
-        if (scenMode_) {
-            // Degraded latency: the whole flight is scaled by the
-            // worst multiplier on the route at arrival pricing.
-            double scale = 1.0;
-            for (const std::uint32_t link : route) {
-                if (m_.linkLatScale[link] > scale)
-                    scale = m_.linkLatScale[link];
-            }
-            if (scale != 1.0) {
-                flight = SimTime::fromNs(
-                    static_cast<std::int64_t>(std::llround(
-                        static_cast<double>(flight.ns()) *
-                        scale)));
-            }
-        }
-        transfer.arriveTime = t + flight;
+        // Priced over the effective route: a scenario reroute may
+        // have moved the pair off its compiled path.
+        transfer.arriveTime = t +
+            m_.net.flightTime(static_cast<int>(nodeOf(transfer.src)),
+                              static_cast<int>(nodeOf(transfer.dst)),
+                              latencyRemote_, hopLatency_);
         schedule(transfer.arriveTime, EventKind::transferArrived,
                  idx);
     }
@@ -1813,10 +1778,9 @@ Engine::recordCommEvent(std::uint32_t idx, SimTime recv_complete)
 /**
  * A compiled scenario event fires. The handler arms the next event
  * of the stream first, so exactly one scenario event is pending at
- * any instant, then applies this one to whichever cost path the
- * replay runs on: on the link network by scaling link capacities
- * (and rerouting around dead links), on the flat bus by flipping
- * the active flags the analytic pricing in startTransfer reads.
+ * any instant, then updates the cursor's active flags. The flat bus
+ * reads them when it prices a transfer; the link network re-scales
+ * the event's links from them now (applyNetScenario).
  */
 void
 Engine::handleScenarioEvent(std::uint32_t i, SimTime t)
@@ -1832,38 +1796,18 @@ Engine::handleScenarioEvent(std::uint32_t i, SimTime t)
     m_.scen.nextIdx = i + 1;
     ++stats_.scenarioEvents;
     const scen::ScenarioEvent &ev = scenario_.event(i);
+    // The event whose links change: this one, or the one a
+    // recover undoes.
+    std::uint32_t changed = i;
     switch (ev.kind) {
       case scen::ScenEventKind::degrade:
         m_.scen.active[i] = 1;
-        if (netMode_) {
-            applyScenLinkScales(i);
-            network_.applyScales(t);
-            drainNetReschedules();
-        }
         break;
 
-      case scen::ScenEventKind::recover: {
-        const std::uint32_t m = scenario_.matchOf(i);
-        const scen::ScenarioEvent &undone = scenario_.event(m);
-        m_.scen.active[m] = 0;
-        if (netMode_) {
-            applyScenLinkScales(m);
-            network_.applyScales(t);
-            if (undone.kind == scen::ScenEventKind::fail &&
-                undone.semantics ==
-                    scen::FailSemantics::reroute) {
-                // Restored links can only add paths back; pairs
-                // whose compiled route is alive again drop their
-                // detours.
-                const auto report =
-                    network_.rerouteDeadLinks(t);
-                ovlAssert(report.ok,
-                          "recovery cannot remove paths");
-            }
-            drainNetReschedules();
-        }
+      case scen::ScenEventKind::recover:
+        changed = scenario_.matchOf(i);
+        m_.scen.active[changed] = 0;
         break;
-      }
 
       case scen::ScenEventKind::fail:
         if (ev.semantics == scen::FailSemantics::failStop) {
@@ -1871,7 +1815,7 @@ Engine::handleScenarioEvent(std::uint32_t i, SimTime t)
             // stream keeps chaining for any later background
             // events.
             if (m_.doneRanks >= nranks_)
-                break;
+                return;
             if (ckptLevelCount_ == 0)
                 reportFailStop(i, t);
             // A rollback replays the stream from the snapshot's
@@ -1882,70 +1826,77 @@ Engine::handleScenarioEvent(std::uint32_t i, SimTime t)
                 scenConsumed_[i] = 1;
                 restartFromCheckpoint(i, t);
             }
-            break;
+            return;
         }
         m_.scen.active[i] = 1;
-        if (netMode_) {
-            applyScenLinkScales(i);
-            network_.applyScales(t);
-            if (ev.semantics == scen::FailSemantics::reroute) {
-                const auto report =
-                    network_.rerouteDeadLinks(t);
-                if (!report.ok) {
-                    fatal("scenario event `", ev.describe(),
-                          "`: no surviving route from node ",
-                          report.src, " to node ", report.dst,
-                          " (the topology has no path diversity "
-                          "around the dead links)");
-                }
-            }
-            drainNetReschedules();
-        }
         break;
 
       case scen::ScenEventKind::background:
         startBackgroundFlow(i, t);
-        break;
+        return;
     }
+    if (netMode_)
+        applyNetScenario(changed, t);
 }
 
 /**
- * Recompute the capacity and latency scales of every link named by
- * scenario event `i` from the full set of currently active events:
- * concurrent degrades multiply, any active failure pins the
- * capacity to zero. Changes are staged in the network and committed
- * by the caller's applyScales().
+ * Re-scale the links of scenario event `i` on the link network from
+ * the live set (scen::linkScaleAt), commit the change at `t` and,
+ * when `i` is a reroute failure, re-resolve the routes around the
+ * dead links (its recovery drops the detours its links no longer
+ * force). The flows this sped up get their finish events.
  */
 void
-Engine::applyScenLinkScales(std::size_t i)
+Engine::applyNetScenario(std::uint32_t i, SimTime t)
 {
     for (const std::uint32_t link : scenario_.linksOf(i)) {
-        double bw = 1.0;
-        double lat = 1.0;
-        for (std::size_t j = 0; j < scenario_.eventCount(); ++j) {
-            if (!m_.scen.active[j] ||
-                !scenario_.linkSetContains(j, link))
-                continue;
-            const scen::ScenarioEvent &ej = scenario_.event(j);
-            if (ej.kind == scen::ScenEventKind::degrade) {
-                bw *= ej.bandwidthFactor;
-                lat *= ej.latencyFactor;
-            } else {
-                bw = 0.0; // active stall/reroute failure
-            }
-        }
-        network_.setLinkScale(link, bw);
-        m_.linkLatScale[link] = lat;
+        const scen::Scale scale =
+            scen::linkScaleAt(scenario_, m_.scen, link);
+        m_.net.setLinkScale(link, scale.bandwidth, scale.latency);
     }
+    m_.net.applyScales(t, stats_);
+    const scen::ScenarioEvent &ev = scenario_.event(i);
+    if (ev.kind == scen::ScenEventKind::fail &&
+        ev.semantics == scen::FailSemantics::reroute) {
+        // Only the failure itself can leave a pair without a path;
+        // a recovery can only add paths back.
+        const auto report = m_.net.rerouteDeadLinks(t, stats_);
+        if (!report.ok) {
+            fatal("scenario event `", ev.describe(),
+                  "`: no surviving route from node ", report.src,
+                  " to node ", report.dst,
+                  " (the topology has no path diversity around the "
+                  "dead links)");
+        }
+    }
+    drainNetReschedules();
+}
+
+/**
+ * A finish event of link-network flow `flow` fired at `t`. Returns
+ * true once the flow completed, after scheduling the flows its freed
+ * capacity sped up; an early event re-arms the flow's own finish when
+ * the network asks for it and returns false.
+ */
+bool
+Engine::netFlowDone(std::uint32_t flow, SimTime t)
+{
+    const auto check = m_.net.onFinishEvent(flow, t, stats_);
+    if (!check.done) {
+        if (check.reschedule)
+            scheduleNetFinish(flow, check.retry);
+        return false;
+    }
+    drainNetReschedules();
+    return true;
 }
 
 void
 Engine::drainNetReschedules()
 {
-    for (const auto &[flow, finish] :
-         network_.pendingReschedules())
+    for (const auto &[flow, finish] : m_.net.pendingReschedules())
         scheduleNetFinish(flow, finish);
-    network_.clearPendingReschedules();
+    m_.net.clearPendingReschedules();
 }
 
 /** Map a LinkNetwork flow id back to its finish event kind. */
@@ -1974,8 +1925,8 @@ Engine::startBackgroundFlow(std::uint32_t i, SimTime t)
     const scen::ScenarioEvent &ev = scenario_.event(i);
     m_.scen.active[i] = 1;
     if (netMode_) {
-        const SimTime finish = network_.start(
-            bgIdBase + i, ev.nodeA, ev.nodeB, ev.bytes, t);
+        const SimTime finish = m_.net.start(
+            bgIdBase + i, ev.nodeA, ev.nodeB, ev.bytes, t, stats_);
         if (finish != SimTime::max())
             schedule(finish, EventKind::backgroundFinish, i);
         return;
@@ -2000,7 +1951,7 @@ SimTime
 Engine::flatScenInject(int src, int dst, Bytes bytes, SimTime begin,
                        SimTime &lat) const
 {
-    const scen::FlatScale scale =
+    const scen::Scale scale =
         scen::flatScaleAt(scenario_, m_.scen, src, dst, begin);
     const double ser_ns = static_cast<double>(bytes) * 1e3 /
         (platform_.bandwidthMBps * scale.bandwidth);
@@ -2021,17 +1972,8 @@ Engine::handleBackgroundFinish(std::uint32_t i, SimTime t)
     if (!m_.scen.active[i])
         return; // stale event after completion
     if (netMode_) {
-        const auto check =
-            network_.onFinishEvent(bgIdBase + i, t);
-        if (!check.done) {
-            if (check.reschedule) {
-                schedule(check.retry,
-                         EventKind::backgroundFinish, i);
-            }
-            return;
-        }
-        m_.scen.active[i] = 0;
-        drainNetReschedules();
+        if (netFlowDone(bgIdBase + i, t))
+            m_.scen.active[i] = 0;
         return;
     }
     m_.scen.active[i] = 0;
@@ -2130,8 +2072,7 @@ Engine::shiftMachine(SimTime by)
     // compiled-to-effective shift grows by the same amount.
     for (std::size_t k = 0; k < m_.events.size(); ++k)
         m_.events[k].time += by;
-    if (netMode_)
-        network_.shiftFlowClocks(by);
+    m_.net.shiftFlowClocks(by);
     m_.scen.shift += by;
 }
 
@@ -2149,8 +2090,6 @@ Engine::takeSnapshot(std::uint32_t level, SimTime anchor)
     Snapshot &image = ckptLevels_[level].image;
     image.anchor = anchor;
     image.state = m_;
-    if (netMode_)
-        image.network = network_;
     // A checkpoint also refreshes every cheaper level's image: the
     // newest restartable image is always at least as recent at the
     // cheap level as at the expensive one.
@@ -2248,29 +2187,15 @@ Engine::restartFromCheckpoint(std::uint32_t i, SimTime t)
         }
     }
 
-    if (netMode_) {
-        // Cancel what the failure caught mid-flight; occupancy must
-        // return to zero before the snapshot's flows take over.
-        network_.cancelAll(t);
-        ovlAssert(network_.totalLoad() == 0,
-                  "cancelled in-flight flows left link occupancy "
-                  "behind");
-        network_.clearPendingReschedules();
-        network_ = s.network;
-        // The snapshot was imaged with the stats pointer embedded;
-        // re-aim it at this run's live counters (monotone across
-        // rollbacks, never restored).
-        network_.setStats(&stats_);
-        ovlAssert(network_.totalLoad() == s.network.totalLoad(),
-                  "restore changed link occupancy");
-    }
-
-    // Copy the machine back and shift it into the restarted time
-    // frame. Copy-assignment reuses the live arenas (restores never
+    // Cancel what the failure caught mid-flight (cancelAll asserts
+    // the link occupancy returned to zero), then copy the machine
+    // back and shift it into the restarted time frame.
+    // Copy-assignment reuses the live arenas (restores never
     // reallocate). The shifted heap is exactly the array that
     // re-pushing the snapshot's events in storage order would build
     // (siftUp never moves an element pushed in heap order), so those
     // pushes are counted.
+    m_.net.cancelAll(t);
     m_ = s.state;
     shiftMachine(delta);
     stats_.heapPushes += m_.events.size();

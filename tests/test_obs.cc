@@ -197,10 +197,9 @@ TEST(EngineStatsTest, HeapBalancesOnRollbackFreeContendedReplays)
 TEST(EngineStatsTest, LinkCountersPinnedExactly)
 {
     // The four LinkNetwork decision counters, pinned exactly on three
-    // routed replays. Values recorded on the engine that imaged the
-    // network beside the machine state, re-aimed its stats pointer
-    // after every restore and kept a rate loop of its own in
-    // rerouteDeadLinks.
+    // routed replays. Recorded before the network became part of the
+    // machine state, they guard the counters across a restore (which
+    // must not roll them back) and the re-arm decisions of reroutes.
     const auto expectLinkCounters =
         [](const obs::EngineStats &stats, std::uint64_t recomputes,
            std::uint64_t skipped, std::uint64_t taken,

@@ -365,16 +365,17 @@ TEST(LinkNetworkScenTest, DegradeRecoverRoundTripIsExact)
     const auto topo =
         net::compileTopology(net::topologies::fatTree(2), 4);
     LinkNetwork net;
+    obs::EngineStats stats;
     net.configure(&topo, 1000.0);
 
     const SimTime armed =
-        net.start(0, 0, 1, 1000, SimTime::zero());
+        net.start(0, 0, 1, 1000, SimTime::zero(), stats);
     EXPECT_EQ(armed.ns(), 1000);
 
     // Slowdowns are lazy: no reschedule until the stale event.
     for (std::uint32_t l = 0; l < topo.linkCount(); ++l)
         net.setLinkScale(l, 0.5);
-    net.applyScales(SimTime::fromNs(200));
+    net.applyScales(SimTime::fromNs(200), stats);
     EXPECT_TRUE(net.pendingReschedules().empty());
 
     // Recovery at 400 is a speedup, but the armed event at 1000
@@ -382,20 +383,20 @@ TEST(LinkNetworkScenTest, DegradeRecoverRoundTripIsExact)
     // the stale event too.
     for (std::uint32_t l = 0; l < topo.linkCount(); ++l)
         net.setLinkScale(l, 1.0);
-    net.applyScales(SimTime::fromNs(400));
+    net.applyScales(SimTime::fromNs(400), stats);
     EXPECT_TRUE(net.pendingReschedules().empty());
 
-    auto check = net.onFinishEvent(0, SimTime::fromNs(1000));
+    auto check = net.onFinishEvent(0, SimTime::fromNs(1000), stats);
     EXPECT_FALSE(check.done);
     ASSERT_TRUE(check.reschedule);
     EXPECT_EQ(check.retry.ns(), 1100);
-    check = net.onFinishEvent(0, SimTime::fromNs(1100));
+    check = net.onFinishEvent(0, SimTime::fromNs(1100), stats);
     EXPECT_TRUE(check.done);
     EXPECT_EQ(net.activeFlows(), 0u);
 
     // Post-recovery flows see the compiled capacity again.
     const SimTime after =
-        net.start(1, 0, 1, 1000, SimTime::fromNs(2000));
+        net.start(1, 0, 1, 1000, SimTime::fromNs(2000), stats);
     EXPECT_EQ(after.ns(), 3000);
 }
 
@@ -405,29 +406,30 @@ TEST(LinkNetworkScenTest, FreezeParksAndRecoveryRearms)
     const auto topo =
         net::compileTopology(net::topologies::fatTree(2), 4);
     LinkNetwork net;
+    obs::EngineStats stats;
     net.configure(&topo, 1000.0);
 
     const SimTime armed =
-        net.start(0, 0, 1, 1000, SimTime::zero());
+        net.start(0, 0, 1, 1000, SimTime::zero(), stats);
     for (std::uint32_t l = 0; l < topo.linkCount(); ++l)
         net.setLinkScale(l, 0.0);
-    net.applyScales(SimTime::fromNs(100));
+    net.applyScales(SimTime::fromNs(100), stats);
 
     // The stale event fires into the freeze: park, no reschedule.
-    auto check = net.onFinishEvent(0, armed);
+    auto check = net.onFinishEvent(0, armed, stats);
     EXPECT_FALSE(check.done);
     EXPECT_FALSE(check.reschedule);
     EXPECT_EQ(check.retry, SimTime::max());
 
     // A flow admitted during the freeze parks immediately.
-    EXPECT_EQ(net.start(1, 2, 3, 500, SimTime::fromNs(1200)),
+    EXPECT_EQ(net.start(1, 2, 3, 500, SimTime::fromNs(1200), stats),
               SimTime::max());
 
     // Recovery re-arms both: 900 remaining bytes of flow 0 and all
     // 500 of flow 1, both at full rate again.
     for (std::uint32_t l = 0; l < topo.linkCount(); ++l)
         net.setLinkScale(l, 1.0);
-    net.applyScales(SimTime::fromNs(2000));
+    net.applyScales(SimTime::fromNs(2000), stats);
     const auto pending = net.pendingReschedules();
     ASSERT_EQ(pending.size(), 2u);
     for (const auto &[id, finish] : pending) {
@@ -437,8 +439,8 @@ TEST(LinkNetworkScenTest, FreezeParksAndRecoveryRearms)
             EXPECT_EQ(finish.ns(), 2500);
     }
     net.clearPendingReschedules();
-    EXPECT_TRUE(net.onFinishEvent(0, SimTime::fromNs(2900)).done);
-    EXPECT_TRUE(net.onFinishEvent(1, SimTime::fromNs(2500)).done);
+    EXPECT_TRUE(net.onFinishEvent(0, SimTime::fromNs(2900), stats).done);
+    EXPECT_TRUE(net.onFinishEvent(1, SimTime::fromNs(2500), stats).done);
     EXPECT_EQ(net.totalLoad(), 0u);
 }
 
@@ -454,9 +456,10 @@ TEST(LinkNetworkScenTest, RerouteConservesOccupancy)
     ring.torusDims = {4};
     const auto topo = net::compileTopology(ring, 4);
     LinkNetwork net;
+    obs::EngineStats stats;
     net.configure(&topo, 1000.0);
 
-    net.start(0, 0, 1, 100'000, SimTime::zero());
+    net.start(0, 0, 1, 100'000, SimTime::zero(), stats);
     const auto compiled = topo.route(0, 1);
     EXPECT_EQ(net.totalLoad(), compiled.size());
 
@@ -472,8 +475,8 @@ TEST(LinkNetworkScenTest, RerouteConservesOccupancy)
     }
     ASSERT_TRUE(found);
     net.setLinkScale(dead, 0.0);
-    net.applyScales(SimTime::fromNs(100));
-    const auto report = net.rerouteDeadLinks(SimTime::fromNs(100));
+    net.applyScales(SimTime::fromNs(100), stats);
+    const auto report = net.rerouteDeadLinks(SimTime::fromNs(100), stats);
     EXPECT_TRUE(report.ok);
 
     // The detour goes the long way round the ring and the flow's
@@ -498,7 +501,7 @@ TEST(LinkNetworkScenTest, RerouteConservesOccupancy)
         const std::int64_t now = events.top();
         events.pop();
         const auto check =
-            net.onFinishEvent(0, SimTime::fromNs(now));
+            net.onFinishEvent(0, SimTime::fromNs(now), stats);
         done = check.done;
         if (!done && check.reschedule)
             events.push(check.retry.ns());
@@ -514,12 +517,13 @@ TEST(LinkNetworkScenTest, RerouteFailsWithoutDiversity)
     const auto topo =
         net::compileTopology(net::topologies::fatTree(2), 4);
     LinkNetwork net;
+    obs::EngineStats stats;
     net.configure(&topo, 1000.0);
     const auto route = topo.route(0, 2);
     ASSERT_TRUE(topo.isHostLink(route.front()));
     net.setLinkScale(route.front(), 0.0);
-    net.applyScales(SimTime::zero());
-    const auto report = net.rerouteDeadLinks(SimTime::zero());
+    net.applyScales(SimTime::zero(), stats);
+    const auto report = net.rerouteDeadLinks(SimTime::zero(), stats);
     EXPECT_FALSE(report.ok);
     EXPECT_EQ(report.src, 0);
 }
